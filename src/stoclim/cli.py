@@ -5,7 +5,8 @@ Subcommands: ``spectrum`` (levels, transition frequencies, genericity),
 plus optional dense binary), ``evolve`` (trajectory CSV), ``glauber``
 (spin-chain kinetics in classical or quantum mode), and ``check``
 (invariant suites).  Exit codes: 0 success, 1 check failure, 2
-configuration error.
+configuration error, 3 numerical failure (an integration or null-space
+solve that lost accuracy).
 
 All CSV floats are printed with 17 significant digits so round-trips are
 lossless; JSON numbers use Python's shortest exact representation.  The
@@ -556,7 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("paper", "physical"),
         help="override the mode-density convention",
     )
-    common.add_argument("--threads", type=int, help="parallel workers for sweeps")
+    common.add_argument(
+        "--threads", type=int, help="accepted for compatibility; sweeps run serially"
+    )
 
     parser = argparse.ArgumentParser(
         prog="stoclim",
@@ -625,6 +628,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

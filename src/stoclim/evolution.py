@@ -2,8 +2,11 @@
 
 States are plain complex ndarrays validated by
 :func:`validate_density_matrix`; trajectories bundle times with states.
-Evolution uses the dense matrix exponential for small systems and adaptive
-Runge-Kutta with the structured generator application for larger ones.
+Evolution and stationary states work on the generator's sparse
+energy-eigenbasis superoperator: trajectories step from sample to sample
+with the action of the matrix exponential (``expm_multiply``, Al-Mohy &
+Higham 2011) on any increasing time grid, and each sample is rotated back
+to the lab basis.
 
 The diagonal (population) sector of the generator is a classical jump
 process; :func:`diagonal_restriction` extracts its rate matrix, whose
@@ -19,15 +22,13 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm, null_space
 from scipy.sparse.linalg import expm_multiply
 
-from .generator import Generator, apply_adjoint, vectorize, unvectorize
+from .generator import Generator, vectorize, unvectorize
 from .operators import SpectralData, dag
 
 __all__ = [
-    "EXPM_DIMENSION_LIMIT",
     "TRACE_DRIFT_BOUND",
     "Trajectory",
     "StationaryResult",
@@ -42,9 +43,6 @@ __all__ = [
     "decay_fit",
     "trace_distance",
 ]
-
-#: dense matrix-exponential propagation is used up to this Hilbert dimension
-EXPM_DIMENSION_LIMIT = 16
 
 #: per-sample bound on the trace drift before renormalisation aborts
 TRACE_DRIFT_BOUND = 1e-10
@@ -134,44 +132,22 @@ def _check_and_renormalise(rho: np.ndarray, where: str) -> np.ndarray:
 def evolve(gen: Generator, rho0: np.ndarray, times: Sequence[float]) -> Trajectory:
     """Propagate ``rho0`` under the generator, sampling at ``times``.
 
-    Dense ``expm`` stepping for dimension <= 16; otherwise adaptive RK45 on
-    the structured generator with absolute tolerance 1e-10 and per-sample
-    trace renormalisation (drift beyond 1e-10 aborts).
+    The state is rotated into the energy eigenbasis and stepped from sample
+    to sample by ``expm_multiply`` on the sparse superoperator, so the grid
+    may be non-uniform.  Each sample is rotated back, Hermitised and
+    renormalised; a trace drift beyond ``TRACE_DRIFT_BOUND`` raises
+    ``RuntimeError``.
     """
     rho0 = validate_density_matrix(rho0)
     t = _normalise_times(times)
-    d = gen.dim
+    v = gen.spec.basis
     states = [rho0]
-    if d <= EXPM_DIMENSION_LIMIT:
-        dense = gen.dense_adjoint
-        vec = vectorize(rho0)
-        propagators: dict[float, np.ndarray] = {}
-        for k in range(1, len(t)):
-            step = float(t[k] - t[k - 1])
-            if step not in propagators:
-                propagators[step] = expm(dense * step)
-            vec = propagators[step] @ vec
-            states.append(_check_and_renormalise(unvectorize(vec, d), f"t={t[k]}"))
-            vec = vectorize(states[-1])
-    else:
-        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-            return vectorize(apply_adjoint(gen, unvectorize(y, d)))
-
-        sol = solve_ivp(
-            rhs,
-            (t[0], t[-1]),
-            vectorize(rho0),
-            t_eval=t,
-            method="RK45",
-            atol=1e-10,
-            rtol=1e-10,
+    for k in range(1, len(t)):
+        vec = expm_multiply(
+            gen.superoperator * (t[k] - t[k - 1]), vectorize(dag(v) @ states[-1] @ v)
         )
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        for k in range(1, len(t)):
-            states.append(
-                _check_and_renormalise(unvectorize(sol.y[:, k], d), f"t={t[k]}")
-            )
+        rho = v @ unvectorize(vec, gen.dim) @ dag(v)
+        states.append(_check_and_renormalise(rho, f"t={t[k]}"))
     return Trajectory(times=t, states=tuple(states))
 
 
@@ -191,16 +167,22 @@ class StationaryResult:
 
 
 def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult:
-    """Stationary state(s) of the generator via a dense null-space solve."""
-    dense = gen.dense_adjoint
+    """Stationary state(s) of the generator via a dense null-space solve.
+
+    The null space is taken in the energy eigenbasis and its operator basis
+    rotated back to the lab basis.
+    """
+    dense = gen.superoperator.toarray()
     ns = null_space(dense, rcond=rank_tol)
     if ns.shape[1] == 0:
         # numerically empty null space: relax once before giving up
         ns = null_space(dense, rcond=1e-7)
     if ns.shape[1] == 0:
         raise RuntimeError("no stationary state found (empty numerical null space)")
-    d = gen.dim
-    ops = tuple(unvectorize(ns[:, k], d) for k in range(ns.shape[1]))
+    v = gen.spec.basis
+    ops = tuple(
+        v @ unvectorize(ns[:, k], gen.dim) @ dag(v) for k in range(ns.shape[1])
+    )
     if len(ops) > 1:
         return StationaryResult(ergodic=False, state=None, basis=ops)
     rho = ops[0]
@@ -283,24 +265,20 @@ def diagonal_restriction(
 
     The populations are taken along the eigenbasis of the spectral data (or
     any supplied orthonormal basis diagonalising the free Hamiltonian).  The
-    jump rate a -> b sums ``gamma[i,j] <b|A_j|a><b|A_i|a>*`` over channels
-    and coupling pairs, which is exactly the population block of the dense
-    generator; cross terms between distinct channels never enter it.
+    jump rate a -> b is ``<b| L(|a><a|) |b>``: the population block of the
+    superoperator, read through the rotation from the eigenbasis to the
+    requested basis.  The diagonal is minus the column sums.
     """
-    v = gen.spec.basis if basis is None else np.asarray(basis, dtype=complex)
     d = gen.dim
-    w = np.zeros((d, d))
-    for ch in gen.channels:
-        low = [dag(v) @ a @ v for a in ch.lowering]
-        n = len(low)
-        for i in range(n):
-            for j in range(n):
-                gm = ch.gamma_minus[i, j]
-                gp = ch.gamma_plus[i, j]
-                if gm != 0.0:
-                    w += np.real(gm * low[j] * np.conj(low[i]))
-                if gp != 0.0:
-                    w += np.real(gp * dag(low[j]) * np.conj(dag(low[i])))
+    if basis is None:
+        v = gen.spec.basis
+        r = np.eye(d)
+    else:
+        v = np.asarray(basis, dtype=complex)
+        r = dag(gen.spec.basis) @ v
+    # column a: vectorize(|r_a><r_a|), the population projector a in the eigenbasis
+    pops = (r[:, np.newaxis, :] * r.conj()[np.newaxis, :, :]).reshape(d * d, d, order="F")
+    w = np.real(pops.conj().T @ (gen.superoperator @ pops))
     np.fill_diagonal(w, 0.0)
     k = w.copy()
     k[np.diag_indices(d)] = -w.sum(axis=0)

@@ -18,7 +18,9 @@ index.  With real form factors the two orders coincide; with complex ones
 only this order keeps the Gibbs state stationary.
 
 and the Schroedinger-picture adjoint acts on density matrices with the jump
-operators sandwiching the state.  The module also provides the first-order
+operators sandwiching the state.  That adjoint is stored once, as a sparse
+matrix in the energy eigenbasis; the dense matrix and the actions in both
+pictures are views of it.  The module also provides the first-order
 structure maps (commutators with the frequency components) whose products
 reproduce the deviation of ``L`` from being a derivation -- the product-rule
 identity used to pin down the cross-coupling index pairing -- and closed-form
@@ -32,8 +34,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .bath import CorrelationTable
+from .bath import BathDomainError, CorrelationTable
 from .operators import (
     BohrSet,
     SpectralData,
@@ -75,9 +78,9 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape((dim, dim), order="F")
 
 
-def _kron_left_right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # matrix of rho -> left @ rho @ right under column stacking
-    return np.kron(right.T, left)
+def _vec_index(row: np.ndarray, col: np.ndarray, dim: int) -> np.ndarray:
+    # vectorised positions of |row_k><col_l| for every pair (k, l)
+    return np.add.outer(row, dim * col)
 
 
 @dataclass(eq=False)
@@ -119,9 +122,11 @@ class Generator:
     """Frequency-resolved Markovian generator.
 
     Holds the spectral data of the free Hamiltonian, the dissipation
-    channels, and the Hermitian shift Hamiltonian.  The dense superoperator
-    of the Schroedinger picture is built lazily on first use
-    (column-stacking convention).
+    channels, and the Hermitian shift Hamiltonian.  The Schroedinger-picture
+    superoperator is assembled once, lazily, as a sparse matrix in the
+    energy eigenbasis (:attr:`superoperator`); the dense lab-basis matrix
+    and the actions in both pictures are views of it (column-stacking
+    convention throughout).
     """
 
     spec: SpectralData
@@ -133,32 +138,59 @@ class Generator:
         return self.spec.dim
 
     @cached_property
-    def dense_adjoint(self) -> np.ndarray:
-        """Dense matrix of the Schroedinger-picture generator."""
+    def superoperator(self) -> sparse.csr_matrix:
+        """Schroedinger-picture generator in the energy eigenbasis (CSR).
+
+        Acts on ``vectorize(V^dag rho V)`` with ``V = spec.basis``.  There a
+        frequency-w lowering operator lives on the level pairs whose energy
+        difference is w, and the shift Hamiltonian and the anticommutator
+        terms, which commute with the free Hamiltonian, on the
+        level-diagonal blocks; entries outside these blocks are rounding and
+        are dropped.  The non-jump part is ``-i H_eff rho + i rho H_eff^dag``
+        with ``H_eff = h_shift - (i/2) sum_w (k_minus + k_plus)``.
+        """
         d = self.dim
-        eye = np.eye(d, dtype=complex)
-        h = self.h_shift
-        out = np.zeros((d * d, d * d), dtype=complex)
-        if np.any(h):
-            out -= 1j * (_kron_left_right(h, eye) - _kron_left_right(eye, h))
+        v = self.spec.basis
+        col_energy = self.spec.energies[self.spec.level_of_column]
+        # gap[a, b] = E_b - E_a, the frequency carried by |a><b|
+        gap = col_energy[np.newaxis, :] - col_energy[:, np.newaxis]
+        tol = self.spec.match_tol
+        rows, cols, vals = [], [], []
+        k_tot = np.zeros((d, d), dtype=complex)
         for ch in self.channels:
-            nonzero = [bool(np.any(a)) for a in ch.lowering]
-            for i, a_i in enumerate(ch.lowering):
-                for j, a_j in enumerate(ch.lowering):
-                    if not (nonzero[i] and nonzero[j]):
-                        continue
-                    gm = ch.gamma_minus[i, j]
-                    gp = ch.gamma_plus[i, j]
-                    if gm != 0.0:
-                        out += gm * _kron_left_right(a_j, dag(a_i))
-                    if gp != 0.0:
-                        out += gp * _kron_left_right(dag(a_i), a_j)
-            for k in (ch.k_minus, ch.k_plus):
-                if np.any(k):
-                    out -= 0.5 * (
-                        _kron_left_right(k, eye) + _kron_left_right(eye, k)
-                    )
+            tgt, src = np.nonzero(np.abs(gap - ch.omega) <= tol)
+            low = np.array([(dag(v) @ a @ v)[tgt, src] for a in ch.lowering])
+            # level pairs no coupling connects (exact zeros, e.g. in a
+            # permutation eigenbasis) carry no entries
+            keep = np.any(low != 0.0, axis=0)
+            tgt, src, low = tgt[keep], src[keep], low[:, keep]
+            # emission A_j rho A_i^dag and absorption A_i^dag rho A_j
+            rows += [_vec_index(tgt, tgt, d), _vec_index(src, src, d)]
+            cols += [_vec_index(src, src, d), _vec_index(tgt, tgt, d)]
+            vals += [
+                low.T @ ch.gamma_minus.T @ low.conj(),
+                low.conj().T @ ch.gamma_plus @ low,
+            ]
+            k_tot += ch.k_minus + ch.k_plus
+        h_eff = dag(v) @ (self.h_shift - 0.5j * k_tot) @ v
+        m, p = np.nonzero((np.abs(gap) <= tol) & (h_eff != 0.0))
+        h = h_eff[m, p][:, np.newaxis]
+        n = np.arange(d)
+        rows += [_vec_index(m, n, d), _vec_index(n, m, d).T]
+        cols += [_vec_index(p, n, d), _vec_index(n, p, d).T]
+        vals += [np.broadcast_to(z, (len(h), d)) for z in (-1j * h, 1j * h.conj())]
+        data, r, c = (np.concatenate([x.ravel() for x in xs]) for xs in (vals, rows, cols))
+        out = sparse.csr_matrix((data, (r, c)), shape=(d * d, d * d))
+        out.eliminate_zeros()
         return out
+
+    @cached_property
+    def dense_adjoint(self) -> np.ndarray:
+        """Dense lab-basis matrix of the Schroedinger-picture generator."""
+        v = self.spec.basis
+        # vectorize(V X V^dag) = kron(conj(V), V) @ vectorize(X)
+        rot = sparse.kron(sparse.csr_matrix(v.conj()), sparse.csr_matrix(v))
+        return (rot @ self.superoperator @ rot.conj().T).toarray()
 
     def norm_scale(self) -> float:
         """Rough magnitude of the generator (largest rate plus shift)."""
@@ -203,6 +235,13 @@ def build_generator(
         if w > bohr.match_tol:
             gm = m + dag(m)
             gp = p + dag(p)
+            for name, rates in (("gamma_minus", gm), ("gamma_plus", gp)):
+                lo = float(np.linalg.eigvalsh(rates).min())
+                if lo < -1e-12 * np.abs(rates).max():
+                    raise BathDomainError(
+                        f"{name} at omega={float(w)!r} has eigenvalue {lo:.6g}; "
+                        "a generator with negative rates is not completely positive"
+                    )
             # frequencies whose components all vanish (no level pair realises
             # the transition through any coupling) contribute nothing
             if (np.any(gm != 0.0) or np.any(gp != 0.0)) and any(
@@ -254,42 +293,20 @@ def build_drift(
     return out
 
 
+def _eigen_action(gen: Generator, superop, x: np.ndarray) -> np.ndarray:
+    v = gen.spec.basis
+    y = superop @ vectorize(dag(v) @ np.asarray(x, dtype=complex) @ v)
+    return v @ unvectorize(y, gen.dim) @ dag(v)
+
+
 def apply_heisenberg(gen: Generator, x: np.ndarray) -> np.ndarray:
-    """Generator action on an observable."""
-    x = np.asarray(x, dtype=complex)
-    h = gen.h_shift
-    out = 1j * (h @ x - x @ h)
-    for ch in gen.channels:
-        for i, a_i in enumerate(ch.lowering):
-            for j, a_j in enumerate(ch.lowering):
-                gm = ch.gamma_minus[i, j]
-                gp = ch.gamma_plus[i, j]
-                if gm != 0.0:
-                    out += gm * (dag(a_i) @ x @ a_j)
-                if gp != 0.0:
-                    out += gp * (a_j @ x @ dag(a_i))
-        for k in (ch.k_minus, ch.k_plus):
-            out -= 0.5 * (k @ x + x @ k)
-    return out
+    """Generator action on an observable (Hilbert-Schmidt adjoint)."""
+    return _eigen_action(gen, gen.superoperator.conj().T, x)
 
 
 def apply_adjoint(gen: Generator, rho: np.ndarray) -> np.ndarray:
     """Schroedinger-picture action on an arbitrary matrix (no state checks)."""
-    rho = np.asarray(rho, dtype=complex)
-    h = gen.h_shift
-    out = -1j * (h @ rho - rho @ h)
-    for ch in gen.channels:
-        for i, a_i in enumerate(ch.lowering):
-            for j, a_j in enumerate(ch.lowering):
-                gm = ch.gamma_minus[i, j]
-                gp = ch.gamma_plus[i, j]
-                if gm != 0.0:
-                    out += gm * (a_j @ rho @ dag(a_i))
-                if gp != 0.0:
-                    out += gp * (dag(a_i) @ rho @ a_j)
-        for k in (ch.k_minus, ch.k_plus):
-            out -= 0.5 * (k @ rho + rho @ k)
-    return out
+    return _eigen_action(gen, gen.superoperator, rho)
 
 
 def apply_schroedinger(gen: Generator, rho: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ scan checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -510,6 +509,9 @@ def n_scaling_experiment(
     convention values, which are exactly linear by construction; the
     measured column books the same flips at the full energy change, so
     the two columns differ in scale but share the linearity.
+
+    ``threads`` is accepted for compatibility and has no effect: the scan
+    runs serially (it takes a few tens of milliseconds).
     """
     sizes = tuple(int(n) for n in sizes)
     if any(n < 2 for n in sizes):
@@ -520,11 +522,7 @@ def n_scaling_experiment(
         gen = quantum_glauber_generator(cs, bath)
         return abs(pair_decay_coefficient(gen, 0, cs.dim - 1).real)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            measured = np.array(list(pool.map(one, sizes)))
-    else:
-        measured = np.array([one(n) for n in sizes])
+    measured = np.array([one(n) for n in sizes])
     closed = np.array(
         [abs(ti_offdiagonal_rate(bath, j_coupling, n)) for n in sizes]
     )

@@ -201,26 +201,47 @@ class BohrSet:
         return self.frequencies[self.frequencies > self.match_tol]
 
 
+def _cluster_starts(xs: np.ndarray, tol: float) -> list[int]:
+    """Positions in sorted ``xs`` where a new frequency cluster begins.
+
+    A value joins the current cluster while it lies within ``tol`` of the
+    cluster's first value.  A gap wider than ``tol`` always starts a new
+    cluster; only a run of close gaps spanning more than ``tol`` needs the
+    element-wise scan.
+    """
+    cuts = np.flatnonzero(np.diff(xs) > tol) + 1
+    starts = []
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(xs)]):
+        starts.append(int(a))
+        if xs[b - 1] - xs[a] <= tol:
+            continue
+        for i in range(a + 1, b):
+            if xs[i] - xs[starts[-1]] > tol:
+                starts.append(i)
+    return starts
+
+
 def bohr_frequencies(spec: SpectralData) -> BohrSet:
     """All level differences of ``spec``, with their realising level pairs."""
     en = spec.energies
+    n = len(en)
     tol = spec.match_tol
-    diffs = sorted(en[a] - en[b] for a in range(len(en)) for b in range(len(en)))
-    freqs: list[float] = []
-    for w in diffs:
-        if not freqs or (w - freqs[-1]) > tol:
-            freqs.append(w)
+    diffs = np.subtract.outer(en, en).ravel()  # position src * n + tgt
+    order = np.argsort(diffs, kind="stable")
+    xs = diffs[order]
+    starts = _cluster_starts(xs, tol)
+    freqs = xs[starts]
     pairs = []
-    for w in freqs:
-        plist = []
-        for src in range(len(en)):
-            for tgt in range(len(en)):
-                if abs((en[src] - en[tgt]) - w) <= tol:
-                    plist.append((tgt, src))
-        pairs.append(tuple(plist))
-    return BohrSet(
-        frequencies=np.asarray(freqs), pairs=tuple(pairs), match_tol=tol
-    )
+    for w, lo, hi in zip(freqs, starts, starts[1:] + [len(xs)]):
+        # the pairs within tol of w are a contiguous run of the sorted
+        # differences that contains w's own cluster xs[lo:hi]
+        while lo > 0 and abs(xs[lo - 1] - w) <= tol:
+            lo -= 1
+        while hi < len(xs) and abs(xs[hi] - w) <= tol:
+            hi += 1
+        src, tgt = np.divmod(np.sort(order[lo:hi]), n)
+        pairs.append(tuple(zip(tgt.tolist(), src.tolist())))
+    return BohrSet(frequencies=freqs, pairs=tuple(pairs), match_tol=tol)
 
 
 def e_omega(

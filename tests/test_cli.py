@@ -283,3 +283,28 @@ def test_config_rejects_nonhermitian_coupling(tmp_path):
     cfg = write_config(tmp_path / "sys.json", doc)
     res = run_cli("spectrum", "--config", cfg)
     assert res.returncode == 2
+
+
+def test_negative_mode_density_rejected(tmp_path):
+    # a negative occupation makes the absorption rate negative: the
+    # generator would not be completely positive
+    (tmp_path / "dens.csv").write_text("0,-0.5\n10,-0.5\n")
+    cfg = write_config(tmp_path / "sys.json", two_level_doc(mode_density="dens.csv"))
+    res = run_cli("generator", "--config", cfg)
+    assert res.returncode == 2
+    assert "gamma_plus at omega=1.0" in res.stderr
+    assert "not completely positive" in res.stderr
+    assert res.stdout == ""
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from stoclim import cli
+
+    def failing_evolve(*args, **kwargs):
+        raise RuntimeError("trace drifted to 0.9 at t=1.0; integration accuracy lost")
+
+    monkeypatch.setattr(cli, "evolve", failing_evolve)
+    cfg = write_config(tmp_path / "sys.json", two_level_doc())
+    assert cli.main(["evolve", "--config", cfg, "--points", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: trace drifted")

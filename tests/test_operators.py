@@ -227,3 +227,41 @@ def test_spectral_data_validate_roundtrip():
         d = int(rng.integers(2, 8))
         spec = spectral_decompose(random_hermitian(rng, d))
         spec.validate()
+
+
+def loop_bohr_frequencies(energies, tol):
+    """Reference: the pairwise loop over sorted level differences."""
+    n = len(energies)
+    diffs = sorted(energies[a] - energies[b] for a in range(n) for b in range(n))
+    freqs = []
+    for w in diffs:
+        if not freqs or (w - freqs[-1]) > tol:
+            freqs.append(w)
+    pairs = []
+    for w in freqs:
+        plist = []
+        for src in range(n):
+            for tgt in range(n):
+                if abs((energies[src] - energies[tgt]) - w) <= tol:
+                    plist.append((tgt, src))
+        pairs.append(tuple(plist))
+    return np.asarray(freqs), tuple(pairs)
+
+
+def test_frequency_set_matches_pairwise_loop():
+    # generic levels, integer (highly degenerate) gaps, and steps a fraction
+    # of the matching tolerance apart, whose differences chain across it
+    rng = np.random.default_rng(93)
+    tol = 1e-9
+    ladders = [
+        np.sort(rng.uniform(0.0, 3.0, 13)),
+        np.arange(9, dtype=float),
+        np.cumsum(rng.choice([0.3, 0.3 + 0.6 * tol, 0.3 + 1.2 * tol, 0.7], 12)),
+    ]
+    for energies in ladders:
+        h = np.diag(energies).astype(complex)
+        spec = spectral_decompose(h, cluster_tol=tol)
+        bohr = bohr_frequencies(spec)
+        freqs, pairs = loop_bohr_frequencies(spec.energies, spec.match_tol)
+        assert np.array_equal(bohr.frequencies, freqs)
+        assert bohr.pairs == pairs
