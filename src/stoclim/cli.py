@@ -34,8 +34,6 @@ from .bath import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .evolution import (
-    ClassicalKineticSystem,
-    detailed_balance_residual,
     diagonal_restriction,
     evolve,
     gibbs_distribution,
@@ -377,10 +375,7 @@ def _suite_detailed_balance(cfg: RunConfig | None, args) -> tuple[bool, dict]:
         cks = classical_glauber_generator(cs, bath)
     if bath.beta == math.inf:
         raise ConfigError("detailed balance needs a finite temperature")
-    k = np.asarray(
-        cks.rate_matrix.toarray() if cks.is_sparse() else cks.rate_matrix,
-        dtype=float,
-    ).copy()
+    k = cks.as_csc().toarray()
     injected = None
     if args.corrupt_rate:
         try:
@@ -394,15 +389,11 @@ def _suite_detailed_balance(cfg: RunConfig | None, args) -> tuple[bool, dict]:
         k[np.diag_indices(len(k))] = 0.0
         k[np.diag_indices(len(k))] = -k.sum(axis=0)
         injected = [a, b, factor]
-    cks = ClassicalKineticSystem(
-        labels=cks.labels, energies=cks.energies, rate_matrix=k
-    )
     p = gibbs_distribution(bath.beta, cks.energies)
-    residual = detailed_balance_residual(cks, p)
-    flow = k * p[np.newaxis, :]
-    np.fill_diagonal(flow, 0.0)
+    flow = k * p[np.newaxis, :]  # flow[b, a] = W[a->b] p_a
     gap = np.abs(flow - flow.T)
     b_worst, a_worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    residual = float(gap[b_worst, a_worst])
     passed = residual <= 1e-10
     report = {
         "residual": residual,

@@ -11,7 +11,10 @@ to the lab basis.
 The diagonal (population) sector of the generator is a classical jump
 process; :func:`diagonal_restriction` extracts its rate matrix, whose
 stationary distribution for a thermal reservoir is the Gibbs distribution
-(detailed balance).
+(detailed balance).  :class:`ClassicalKineticSystem` reads a dense or
+sparse rate matrix through one CSC view and steps its distributions from
+sample to sample: with a dense ``expm(K dt)`` up to
+:data:`DENSE_KINETIC_STATES` states, with ``expm_multiply`` beyond.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .operators import SpectralData, dag
 
 __all__ = [
     "TRACE_DRIFT_BOUND",
+    "DENSE_KINETIC_STATES",
     "Trajectory",
     "StationaryResult",
     "ClassicalKineticSystem",
@@ -46,6 +50,10 @@ __all__ = [
 
 #: per-sample bound on the trace drift before renormalisation aborts
 TRACE_DRIFT_BOUND = 1e-10
+
+#: rate matrices with up to this many states are propagated with dense step
+#: propagators (and the Glauber generator hands them out dense)
+DENSE_KINETIC_STATES = 1024
 
 
 def validate_density_matrix(
@@ -217,35 +225,55 @@ class ClassicalKineticSystem:
     def is_sparse(self) -> bool:
         return sparse.issparse(self.rate_matrix)
 
+    def as_csc(self) -> sparse.csc_matrix:
+        """The rate matrix as CSC, whether it was given dense or sparse."""
+        return sparse.csc_matrix(self.rate_matrix, dtype=float)
+
     def validate(self, tol: float = 1e-10) -> None:
-        k = self.rate_matrix
-        dense = k.toarray() if self.is_sparse() else np.asarray(k)
-        off = dense - np.diag(np.diag(dense))
-        if off.min() < -tol:
-            raise ValueError(f"negative off-diagonal rate {off.min():.3e}")
-        colsum = np.abs(dense.sum(axis=0)).max()
-        if colsum > tol * max(1.0, np.abs(dense).max()):
+        k = self.as_csc()
+        if not np.isfinite(k.data).all():
+            raise ValueError("rate matrix has non-finite entries")
+        lo = (k - sparse.diags(k.diagonal())).min()
+        if lo < -tol:
+            raise ValueError(f"negative off-diagonal rate {lo:.3e}")
+        colsum = np.abs(k.sum(axis=0)).max()
+        if colsum > tol * max(1.0, abs(k).max()):
             raise ValueError(f"columns do not sum to zero (max {colsum:.3e})")
 
     def evolve(self, p0: np.ndarray, times: Sequence[float]) -> np.ndarray:
-        """Distribution trajectory, shape (len(times), size)."""
-        p0 = np.asarray(p0, dtype=float)
-        t = np.asarray(times, dtype=float)
-        if self.is_sparse():
-            out = [
-                expm_multiply(self.rate_matrix * float(tk), p0) for tk in t
-            ]
-            return np.asarray(out)
-        return np.asarray([expm(np.asarray(self.rate_matrix) * tk) @ p0 for tk in t])
+        """Distribution trajectory, shape (len(times), size).
+
+        Steps from sample to sample, starting at t = 0; the times must be
+        finite, non-negative and non-decreasing (else ``ValueError``).  Up to
+        ``DENSE_KINETIC_STATES`` states each step applies the dense
+        propagator ``expm(K dt)``, formed again only when the step changes
+        by more than the rounding of the sample times, so an evenly spaced
+        grid costs one ``expm`` at any horizon.  Larger matrices step with
+        ``expm_multiply``, which needs about ``|K|_1 dt`` sparse products.
+        """
+        times = np.asarray(times, dtype=float)
+        steps = np.diff(times, prepend=0.0)
+        if not (np.isfinite(times).all() and np.all(steps >= 0)):
+            raise ValueError("times must be finite, non-negative and non-decreasing")
+        k = self.as_csc()
+        dense = self.size <= DENSE_KINETIC_STATES
+        if dense:
+            k = k.toarray()
+        p = np.asarray(p0, dtype=float)
+        out, h, prop = [], None, None
+        for t, dt in zip(times, steps):
+            if not dense:
+                p = expm_multiply(k * dt, p)
+            elif dt > 0.0:
+                if h is None or abs(dt - h) > 4.0 * np.spacing(t):
+                    h, prop = dt, expm(k * dt)
+                p = prop @ p
+            out.append(p)
+        return np.asarray(out)
 
     def stationary(self) -> np.ndarray:
         """Normalised stationary distribution (dense null-space solve)."""
-        k = (
-            self.rate_matrix.toarray()
-            if self.is_sparse()
-            else np.asarray(self.rate_matrix, dtype=float)
-        )
-        ns = null_space(k, rcond=1e-10)
+        ns = null_space(self.as_csc().toarray(), rcond=1e-10)
         if ns.shape[1] != 1:
             raise RuntimeError(
                 f"kinetic stationary distribution not unique (dim {ns.shape[1]})"
@@ -304,15 +332,9 @@ def detailed_balance_residual(
 
     ``max over connected pairs |p_a W[a->b] - p_b W[b->a]|``.
     """
-    k = (
-        cks.rate_matrix.toarray()
-        if cks.is_sparse()
-        else np.asarray(cks.rate_matrix, dtype=float)
-    )
-    p = np.asarray(dist, dtype=float)
-    flow = k * p[np.newaxis, :]  # flow[b, a] = W[a->b] p_a
-    np.fill_diagonal(flow, 0.0)
-    return float(np.abs(flow - flow.T).max())
+    # flow[b, a] = W[a->b] p_a; the diagonal cancels in flow - flow.T
+    flow = cks.as_csc() @ sparse.diags(np.asarray(dist, dtype=float))
+    return float(abs(flow - flow.T).max())
 
 
 def gibbs_state(beta: float, spec: SpectralData) -> np.ndarray:

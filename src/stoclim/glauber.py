@@ -35,13 +35,14 @@ from scipy import sparse
 
 from .bath import (
     BathConfigurationError,
+    BathDomainError,
     BathSpec,
     CorrelationTable,
     absorption_rate,
     correlation_table,
     emission_rate,
 )
-from .evolution import ClassicalKineticSystem
+from .evolution import DENSE_KINETIC_STATES, ClassicalKineticSystem
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
@@ -77,9 +78,6 @@ __all__ = [
 
 #: the classical route enumerates configurations up to this many sites
 MAX_CLASSICAL_SITES = 20
-
-#: above this many configurations the rate matrix is kept sparse
-_DENSE_CONFIGURATIONS = 1024
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -274,10 +272,17 @@ def _flip_rate(bath: BathSpec, released: float, site: int) -> float:
     # golden-rule rate of one flip: emission when energy is released,
     # absorption when it is taken up, exactly zero when neutral
     if released > 0.0:
-        return emission_rate(bath, released, site)
-    if released < 0.0:
-        return absorption_rate(bath, -released, site)
-    return 0.0
+        rate = emission_rate(bath, released, site)
+    elif released < 0.0:
+        rate = absorption_rate(bath, -released, site)
+    else:
+        return 0.0
+    if not 0.0 <= rate < math.inf:
+        raise BathDomainError(
+            f"flip rate {rate!r} at site {site} for released energy {released!r}: "
+            "rates must be finite and non-negative"
+        )
+    return rate
 
 
 def _check_form_factors(cs: SpinChainSpec, bath: BathSpec) -> None:
@@ -327,42 +332,41 @@ def classical_glauber_generator(
 
     The rate of flipping site r is the golden-rule rate of the channel at
     the released energy (emission downhill, absorption uphill, exactly
-    zero for energy-neutral flips), with the site's own form factor.
-    Columns sum to zero, ``dp/dt = K p``; the matrix is dense up to 2^10
+    zero for energy-neutral flips), with the site's own form factor; a
+    negative or non-finite rate raises ``BathDomainError``.  Each distinct
+    (site, released energy), computed as in :func:`energy_release`, is
+    rated once; the rates form one CSC matrix with columns summing to zero
+    (``dp/dt = K p``), dense up to ``DENSE_KINETIC_STATES`` (2^10)
     configurations and sparse beyond.
     """
     _check_form_factors(cs, bath)
     n = cs.n_sites
     size = 2**n
-    configs = spin_configurations(n)
-    rows, cols, vals = [], [], []
-    for a in range(size):
-        s = configs[a]
-        for r in range(n):
-            rate = _flip_rate(bath, energy_release(cs, s, r), r)
-            if rate == 0.0:
-                continue
-            rows.append(a ^ (1 << (n - 1 - r)))
-            cols.append(a)
-            vals.append(rate)
-    energies = configuration_energies(cs)
-    if size <= _DENSE_CONFIGURATIONS:
-        k = np.zeros((size, size))
-        for b, a, v in zip(rows, cols, vals):
-            k[b, a] += v
-        k[np.diag_indices(size)] = -k.sum(axis=0)
-        system = ClassicalKineticSystem(
-            labels=tuple(range(size)), energies=energies, rate_matrix=k
-        )
-        system.validate()
-        return system
-    off = sparse.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    diag = -np.asarray(off.sum(axis=0)).ravel()
-    return ClassicalKineticSystem(
-        labels=tuple(range(size)),
-        energies=energies,
-        rate_matrix=(off + sparse.diags(diag, format="csc")).tocsc(),
+    spins = spin_configurations(n)
+    configs = np.arange(size)
+    rows, vals = [], []
+    for r in range(n):
+        field = np.zeros(size)
+        for bond in (cs.left_bond(r), cs.right_bond(r)):
+            if bond is not None:
+                field += bond[1] * spins[:, bond[0]]
+        levels, level_of = np.unique(-2.0 * spins[:, r] * field, return_inverse=True)
+        rates = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
+        rows.append(configs ^ (1 << (n - 1 - r)))
+        vals.append(rates[level_of])
+    off = sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.tile(configs, n))),
+        shape=(size, size),
     )
+    # the subtraction also drops the stored zeros of energy-neutral flips
+    k = off - sparse.diags(np.asarray(off.sum(axis=0)).ravel())
+    system = ClassicalKineticSystem(
+        labels=tuple(range(size)),
+        energies=configuration_energies(cs),
+        rate_matrix=k.toarray() if size <= DENSE_KINETIC_STATES else k,
+    )
+    system.validate()
+    return system
 
 
 def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:
