@@ -251,6 +251,8 @@ def correlation_table(
 
     Hermitian parts follow the delta-shell closed form; with ``lamb_shift``
     on, the anti-Hermitian parts are computed by principal-value quadrature.
+    A non-finite constant raises :class:`BathDomainError` naming the
+    frequency and the coupling pair.
     """
     nf = bath.n_form_factors()
     if nf is not None and nf != n_couplings:
@@ -273,6 +275,14 @@ def correlation_table(
                 for j in range(n_couplings):
                     m[i, j] += 1j * pv_lamb_shift(bath, w, (i, j), branch="minus")
                     p[i, j] += 1j * pv_lamb_shift(bath, w, (i, j), branch="plus")
+        for name, c in (("minus", m), ("plus", p)):
+            bad = np.argwhere(~np.isfinite(c))
+            if bad.size:
+                i, j = bad[0]
+                raise BathDomainError(
+                    f"{name} constant of coupling pair ({i}, {j}) at omega={float(w)!r} "
+                    f"is {c[i, j]}: mode density and form factors must be finite"
+                )
         minus.append(m)
         plus.append(p)
     return CorrelationTable(
@@ -313,14 +323,26 @@ def principal_value_integral(
     h and h/2 to cancel the leading excision error.  If the pole lies
     outside [a, b], this reduces to plain adaptive quadrature.
     """
+    return _principal_value(f, a, b, pole, excision, nodes=())
 
+
+def _principal_value(f, a, b, pole, excision, nodes) -> float:
+    # ``nodes`` are kinks of a tabulated integrand; those inside an
+    # integration interval are handed to quad as break points, so that it
+    # does not mistake them for roundoff.  Without any, the call is the
+    # plain adaptive one.
     def integrand(x: float) -> float:
         return f(x) / (x - pole)
 
-    quad_opts = dict(limit=200, epsabs=1e-11, epsrel=1e-11)
+    def quad(lo: float, hi: float) -> float:
+        inner = [x for x in nodes if lo < x < hi]
+        opts = dict(limit=200 + len(inner), epsabs=1e-11, epsrel=1e-11)
+        if inner:
+            opts["points"] = inner
+        return integrate.quad(integrand, lo, hi, **opts)[0]
+
     if not (a < pole < b):
-        val, _ = integrate.quad(integrand, a, b, **quad_opts)
-        return val
+        return quad(a, b)
 
     if excision is None:
         excision = PV_EXCISION_SCALE * (b - a)
@@ -328,9 +350,7 @@ def principal_value_integral(
     excision = min(excision, 0.5 * half_gap)
 
     def excised(h: float) -> float:
-        left, _ = integrate.quad(integrand, a, pole - h, **quad_opts)
-        right, _ = integrate.quad(integrand, pole + h, b, **quad_opts)
-        return left + right
+        return quad(a, pole - h) + quad(pole + h, b)
 
     v_h = excised(excision)
     v_h2 = excised(0.5 * excision)
@@ -380,6 +400,12 @@ def pv_lamb_shift(
     legs = [lambda x: numerator(x).real]
     if i != j and bath.form_factors is not None:
         legs.append(lambda x: numerator(x).imag)
+    # tabulated profiles (``config.TabulatedProfile``) are piecewise linear
+    # between their ``rho`` nodes
+    profiles = [bath.mode_density]
+    if bath.form_factors is not None:
+        profiles += [bath.form_factors[i], bath.form_factors[j]]
+    nodes = sorted({float(x) for f in profiles for x in getattr(f, "rho", ())})
 
     vals = []
     with warnings.catch_warnings():
@@ -387,12 +413,13 @@ def pv_lamb_shift(
         try:
             for leg in legs:
                 vals.append(
-                    principal_value_integral(
+                    _principal_value(
                         leg,
                         0.0,
                         float(bath.uv_cutoff),
                         float(omega),
-                        excision=PV_EXCISION_SCALE * float(bath.uv_cutoff),
+                        PV_EXCISION_SCALE * float(bath.uv_cutoff),
+                        nodes,
                     )
                 )
         except integrate.IntegrationWarning as exc:

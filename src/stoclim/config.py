@@ -203,7 +203,8 @@ def _parse_bath(node, path: str, base_dir: str) -> BathSpec:
     mode_density = node.get("mode_density", "thermal")
     if mode_density != "thermal":
         profile = _load_profile(mode_density, f"{path}.mode_density", base_dir)
-        mode_density = lambda rho: float(complex(profile(rho)).real)  # noqa: E731
+        # the density is real: an imaginary column is ignored
+        mode_density = TabulatedProfile(profile.rho, profile.values.real.astype(complex))
     uv_cutoff = node.get("uv_cutoff")
     if uv_cutoff is not None:
         uv_cutoff = _positive_real(uv_cutoff, f"{path}.uv_cutoff")

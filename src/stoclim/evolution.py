@@ -70,6 +70,8 @@ def validate_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("state has non-finite entries")
     scale = max(float(np.linalg.norm(rho)), 1.0)
     asym = float(np.linalg.norm(rho - dag(rho)))
     if asym > herm_tol * scale:
@@ -130,7 +132,8 @@ def _normalise_times(times: Sequence[float]) -> np.ndarray:
 def _check_and_renormalise(rho: np.ndarray, where: str) -> np.ndarray:
     rho = 0.5 * (rho + dag(rho))
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > TRACE_DRIFT_BOUND:
+    # written so that a NaN trace counts as drift
+    if not abs(tr - 1.0) <= TRACE_DRIFT_BOUND:
         raise RuntimeError(
             f"trace drifted to {tr!r} at {where}; integration accuracy lost"
         )

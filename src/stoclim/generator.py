@@ -11,20 +11,24 @@ frequency.  In the Heisenberg picture::
          + sum_w sum_ij gamma_minus[i,j] (A_i^dag X A_j - {A_i^dag A_j, X}/2)
          + sum_w sum_ij gamma_plus[i,j]  (A_j X A_i^dag - {A_j A_i^dag, X}/2)
 
-The plus channel pairs its indices in the opposite order: the absorption
-constants carry the conjugate form-factor product relative to emission, so
-the raising operator built from coupling j goes with the constant's second
-index.  With real form factors the two orders coincide; with complex ones
-only this order keeps the Gibbs state stationary.
-
 and the Schroedinger-picture adjoint acts on density matrices with the jump
-operators sandwiching the state.  That adjoint is stored once, as a sparse
-matrix in the energy eigenbasis; the dense matrix and the actions in both
-pictures are views of it.  The module also provides the first-order
-structure maps (commutators with the frequency components) whose products
-reproduce the deviation of ``L`` from being a derivation -- the product-rule
-identity used to pin down the cross-coupling index pairing -- and closed-form
-off-diagonal decay rates for non-degenerate systems.
+operators sandwiching the state.  On both branches the raising operator of
+coupling i goes with the constant's first index, because the absorption
+constants carry the conjugate form-factor product; with complex form
+factors only this pairing keeps the Gibbs state stationary.  It is written
+once, in :func:`_pair_sum`, which every coupling-pair sum goes through.
+
+The drift ``G = i H_shift + (1/2) sum_w (K_minus + K_plus)``, with ``K_minus``
+and ``K_plus`` the channels' emission and absorption sums of ``A^dag A`` and
+``A A^dag``, is the object the shift (anti-Hermitian part), the damping
+(Hermitian part), the superoperator's effective Hamiltonian ``-iG`` and the
+closed-form off-diagonal decay rates of non-degenerate systems are read
+from.  The superoperator is stored once, as a sparse matrix in the energy
+eigenbasis; the dense matrix and the actions in both pictures are views of
+it.  The first-order structure maps (commutators with the frequency
+components) reproduce, through their rate-weighted products, the deviation
+of ``L`` from being a derivation: the product-rule identity that pins down
+the pairing.
 """
 
 from __future__ import annotations
@@ -83,6 +87,24 @@ def _vec_index(row: np.ndarray, col: np.ndarray, dim: int) -> np.ndarray:
     return np.add.outer(row, dim * col)
 
 
+def _pair_sum(rates: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``sum_ij rates[i,j] left[i] @ right[j]`` over (n, d, d) operator stacks.
+
+    The channel index pairing is decided here.  With ``a`` the stacked
+    lowering operators of a channel and ``a_dag`` their adjoints, emission
+    terms are ``(gamma, a_dag, a)``, i.e. ``sum_ij gamma[i,j] A_i^dag A_j``,
+    and absorption terms are ``(gamma.T, a, a_dag)``, i.e.
+    ``sum_ij gamma[i,j] A_j A_i^dag``: the raising operator of coupling i
+    goes with the constant's first index on both branches.
+    """
+    # n BLAS matmuls, however many of the rates are zero
+    return np.matmul(left, np.tensordot(rates, right, 1)).sum(0)
+
+
+def _stack_dag(ops: np.ndarray) -> np.ndarray:
+    return ops.conj().transpose(0, 2, 1)
+
+
 @dataclass(eq=False)
 class DissipationChannel:
     """One positive-frequency dissipation channel."""
@@ -95,26 +117,14 @@ class DissipationChannel:
     @cached_property
     def k_minus(self) -> np.ndarray:
         """``sum_ij gamma_minus[i,j] A_i^dag A_j`` (PSD)."""
-        return self._quad_form(self.gamma_minus, lower_first=True)
+        a = np.asarray(self.lowering)
+        return _pair_sum(self.gamma_minus, _stack_dag(a), a)
 
     @cached_property
     def k_plus(self) -> np.ndarray:
         """``sum_ij gamma_plus[i,j] A_j A_i^dag`` (PSD)."""
-        return self._quad_form(self.gamma_plus, lower_first=False)
-
-    def _quad_form(self, rates: np.ndarray, lower_first: bool) -> np.ndarray:
-        d = self.lowering[0].shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for i, a_i in enumerate(self.lowering):
-            for j, a_j in enumerate(self.lowering):
-                r = rates[i, j]
-                if r == 0.0:
-                    continue
-                if lower_first:
-                    out += r * (dag(a_i) @ a_j)
-                else:
-                    out += r * (a_j @ dag(a_i))
-        return out
+        a = np.asarray(self.lowering)
+        return _pair_sum(self.gamma_plus.T, a, _stack_dag(a))
 
 
 @dataclass(eq=False)
@@ -147,7 +157,7 @@ class Generator:
         terms, which commute with the free Hamiltonian, on the
         level-diagonal blocks; entries outside these blocks are rounding and
         are dropped.  The non-jump part is ``-i H_eff rho + i rho H_eff^dag``
-        with ``H_eff = h_shift - (i/2) sum_w (k_minus + k_plus)``.
+        with ``H_eff = -i G`` for the drift ``G``.
         """
         d = self.dim
         v = self.spec.basis
@@ -156,7 +166,6 @@ class Generator:
         gap = col_energy[np.newaxis, :] - col_energy[:, np.newaxis]
         tol = self.spec.match_tol
         rows, cols, vals = [], [], []
-        k_tot = np.zeros((d, d), dtype=complex)
         for ch in self.channels:
             tgt, src = np.nonzero(np.abs(gap - ch.omega) <= tol)
             low = np.array([(dag(v) @ a @ v)[tgt, src] for a in ch.lowering])
@@ -171,8 +180,7 @@ class Generator:
                 low.T @ ch.gamma_minus.T @ low.conj(),
                 low.conj().T @ ch.gamma_plus @ low,
             ]
-            k_tot += ch.k_minus + ch.k_plus
-        h_eff = dag(v) @ (self.h_shift - 0.5j * k_tot) @ v
+        h_eff = dag(v) @ (-1j * self._drift) @ v
         m, p = np.nonzero((np.abs(gap) <= tol) & (h_eff != 0.0))
         h = h_eff[m, p][:, np.newaxis]
         n = np.arange(d)
@@ -183,6 +191,11 @@ class Generator:
         out = sparse.csr_matrix((data, (r, c)), shape=(d * d, d * d))
         out.eliminate_zeros()
         return out
+
+    @cached_property
+    def _drift(self) -> np.ndarray:
+        """``G = i h_shift + (1/2) sum_w (k_minus + k_plus)`` (lab basis)."""
+        return 1j * self.h_shift + 0.5 * sum(ch.k_minus + ch.k_plus for ch in self.channels)
 
     @cached_property
     def dense_adjoint(self) -> np.ndarray:
@@ -213,11 +226,10 @@ def build_generator(
     if bohr is None:
         bohr = bohr_frequencies(spec)
     couplings = [validate_hermitian(d) for d in couplings]
-    n = len(couplings)
     d = spec.dim
     channels = []
     h_shift = np.zeros((d, d), dtype=complex)
-    for k, w in enumerate(bohr.frequencies):
+    for w in bohr.frequencies:
         comps = tuple(e_omega(dop, w, spec, bohr) for dop in couplings)
         m = table.minus[table.index_of(w)]
         p = table.plus[table.index_of(w)]
@@ -226,18 +238,16 @@ def build_generator(
         sh_m = (m - dag(m)) / 2j
         sh_p = (p - dag(p)) / 2j
         if np.any(sh_m != 0.0) or np.any(sh_p != 0.0):
-            for i in range(n):
-                for j in range(n):
-                    if sh_m[i, j] != 0.0:
-                        h_shift += sh_m[i, j] * (dag(comps[i]) @ comps[j])
-                    if sh_p[i, j] != 0.0:
-                        h_shift -= sh_p[i, j] * (comps[j] @ dag(comps[i]))
+            a = np.asarray(comps)
+            h_shift += _pair_sum(sh_m, _stack_dag(a), a) - _pair_sum(sh_p.T, a, _stack_dag(a))
         if w > bohr.match_tol:
             gm = m + dag(m)
             gp = p + dag(p)
             for name, rates in (("gamma_minus", gm), ("gamma_plus", gp)):
-                lo = float(np.linalg.eigvalsh(rates).min())
-                if lo < -1e-12 * np.abs(rates).max():
+                # eigvalsh does not propagate NaN, so test finiteness first
+                finite = np.isfinite(rates).all()
+                lo = float(np.linalg.eigvalsh(rates).min()) if finite else np.nan
+                if not lo >= -1e-12 * np.abs(rates).max():
                     raise BathDomainError(
                         f"{name} at omega={float(w)!r} has eigenvalue {lo:.6g}; "
                         "a generator with negative rates is not completely positive"
@@ -274,23 +284,12 @@ def build_drift(
                       + conj(c+_ij(w)) E_w(D_i) E_w(D_j)^dag ]``
     where c-+ are the complex reservoir constants.  Its Hermitian part is
     half the total damping; the anti-Hermitian part generates the shift.
+    This is the drift of :func:`build_generator`'s result, so the same
+    rate-matrix checks apply; it equals the sum above whenever the table,
+    like every table from :func:`correlation_table`, holds no rates at
+    non-positive frequencies.
     """
-    if bohr is None:
-        bohr = bohr_frequencies(spec)
-    couplings = [validate_hermitian(d) for d in couplings]
-    d = spec.dim
-    out = np.zeros((d, d), dtype=complex)
-    for w in bohr.frequencies:
-        comps = [e_omega(dop, w, spec, bohr) for dop in couplings]
-        m = table.minus[table.index_of(w)]
-        p = table.plus[table.index_of(w)]
-        for i in range(len(couplings)):
-            for j in range(len(couplings)):
-                if m[i, j] != 0.0:
-                    out += m[i, j] * (dag(comps[i]) @ comps[j])
-                if p[i, j] != 0.0:
-                    out += np.conj(p[i, j]) * (comps[i] @ dag(comps[j]))
-    return out
+    return build_generator(spec, couplings, table, bohr)._drift
 
 
 def _eigen_action(gen: Generator, superop, x: np.ndarray) -> np.ndarray:
@@ -354,11 +353,12 @@ def offdiag_rate(gen: Generator, mu: int, nu: int) -> complex:
     matrix unit in the eigenbasis is an eigenvector of the adjoint
     generator; this returns its eigenvalue
 
-        A = -i (h_mu - h_nu) - (out_mu + out_nu) / 2
+        A = -i (h_mu - h_nu) - (out_mu + out_nu) / 2 = -(g_mu + conj(g_nu))
 
-    with ``h`` the diagonal shift energies and ``out`` the total outflow
-    rates.  Raises :class:`NonGenericError` when the closed form does not
-    apply (use the dense form instead).
+    with ``h`` the diagonal shift energies, ``out`` the total outflow
+    rates and ``g = i h + out / 2`` the eigenbasis diagonal of the drift.
+    Raises :class:`NonGenericError` when the closed form does not apply (use
+    the dense form instead).
     """
     report = genericity_check(gen.spec)
     if not report.is_generic:
@@ -370,14 +370,8 @@ def offdiag_rate(gen: Generator, mu: int, nu: int) -> complex:
     if mu == nu:
         raise ValueError("off-diagonal rate needs two distinct level indices")
     v = gen.spec.basis
-    h_diag = np.real(np.diag(dag(v) @ gen.h_shift @ v))
-    k_tot = np.zeros((gen.dim, gen.dim), dtype=complex)
-    for ch in gen.channels:
-        k_tot += ch.k_minus + ch.k_plus
-    k_diag = np.real(np.diag(dag(v) @ k_tot @ v))
-    return complex(
-        -1j * (h_diag[mu] - h_diag[nu]) - 0.5 * (k_diag[mu] + k_diag[nu])
-    )
+    g = np.diag(dag(v) @ gen._drift @ v)
+    return complex(-(g[mu] + np.conj(g[nu])))
 
 
 @dataclass(eq=False)
@@ -418,18 +412,16 @@ def leibniz_defect(maps: StructureMapSet, x: np.ndarray, y: np.ndarray) -> float
         maps.theta0(x @ y) - maps.theta0(x) @ y - x @ maps.theta0(y)
     )
     corr = np.zeros_like(lhs)
+
+    def stack(theta, z, ch):
+        return np.array([theta(z, j, ch) for j in range(len(ch.lowering))])
+
+    # theta_minus carries A^dag and theta_plus carries A, so the two terms
+    # pair like emission and absorption
     for ch in gen.channels:
-        n = len(ch.lowering)
-        for i in range(n):
-            for j in range(n):
-                gm = ch.gamma_minus[i, j]
-                gp = ch.gamma_plus[i, j]
-                if gm != 0.0:
-                    corr += gm * (
-                        maps.theta_minus(x, i, ch) @ maps.theta_plus(y, j, ch)
-                    )
-                if gp != 0.0:
-                    corr += gp * (
-                        maps.theta_plus(x, j, ch) @ maps.theta_minus(y, i, ch)
-                    )
+        corr += _pair_sum(
+            ch.gamma_minus, stack(maps.theta_minus, x, ch), stack(maps.theta_plus, y, ch)
+        ) + _pair_sum(
+            ch.gamma_plus.T, stack(maps.theta_plus, x, ch), stack(maps.theta_minus, y, ch)
+        )
     return float(np.linalg.norm(lhs - corr))

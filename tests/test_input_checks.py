@@ -1,0 +1,101 @@
+"""Non-finite input is rejected with a named error; tabulated profiles with shifts."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from stoclim import (
+    BathDomainError,
+    BathSpec,
+    bohr_frequencies,
+    correlation_table,
+    spectral_decompose,
+)
+from stoclim import cli
+from stoclim.evolution import _check_and_renormalise, validate_density_matrix
+
+
+def two_level_config(tmp_path, **bath):
+    doc = {
+        "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
+        "couplings": [[[0.0, 1.0], [1.0, 0.0]]],
+        "bath": {"beta": 1.0, **bath},
+    }
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_infinite_mode_density_names_frequency_and_pair():
+    spec = spectral_decompose(np.diag([0.0, 1.0]).astype(complex))
+    bath = BathSpec(beta=1.0, mode_density=lambda rho: math.inf)
+    with pytest.raises(BathDomainError, match=r"coupling pair \(0, 0\) at omega=1.0"):
+        correlation_table(bath, bohr_frequencies(spec), 1)
+
+
+@pytest.mark.parametrize("command", [["generator"], ["evolve", "--points", "3"]])
+def test_cli_nan_mode_density_exits_2(tmp_path, capsys, command):
+    (tmp_path / "dens.csv").write_text("0,0.5\n5,nan\n10,0.5\n")
+    cfg = two_level_config(tmp_path, mode_density="dens.csv")
+    code = cli.main([command[0], "--config", cfg, *command[1:]])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "at omega=1.0" in out.err
+    assert "must be finite" in out.err
+    assert out.out == ""
+
+
+def test_density_matrix_with_nan_entry_rejected():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_density_matrix(rho)
+
+
+def test_nan_trace_counts_as_drift():
+    with pytest.raises(RuntimeError, match="trace drifted to nan"):
+        _check_and_renormalise(np.full((2, 2), np.nan, dtype=complex), "t=1.0")
+
+
+def pv_reference(numerator, omega, cutoff, h=1e-3):
+    """PV of numerator/(x - omega) over (0, cutoff) by singularity subtraction.
+
+    The bounded difference quotient is integrated by the midpoint rule on a
+    fine grid with omega on a cell edge, and the subtracted pole integrates
+    to a logarithm.
+    """
+    edges = np.concatenate([np.arange(0.0, omega, h), np.arange(omega, cutoff + h / 2, h)])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    f0 = numerator(np.array([omega]))[0]
+    quotient = (numerator(mid) - f0) / (mid - omega)
+    return np.sum(quotient * np.diff(edges)) + f0 * math.log((cutoff - omega) / omega)
+
+
+def test_rates_with_tabulated_form_factor_and_shifts(tmp_path, capsys):
+    # a piecewise-linear profile has a kink at every node; quadrature that
+    # is not told where they are reports roundoff
+    nodes = np.linspace(0.0, 60.0, 61)
+    (tmp_path / "ff.csv").write_text(
+        "".join(f"{x!r},{math.exp(-x / 20.0)!r}\n" for x in nodes.tolist())
+    )
+    cfg = two_level_config(
+        tmp_path,
+        kernel="quadrature",
+        uv_cutoff=50.0,
+        lamb_shift=True,
+        form_factors=["ff.csv"],
+    )
+    assert cli.main(["rates", "--config", cfg, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    k = doc["frequencies"].index(1.0)
+
+    def numerator(x, spont):
+        g = np.interp(x, nodes, np.exp(-nodes / 20.0))
+        return 4.0 * math.pi * x * g * g * (1.0 / np.expm1(x) + spont)
+
+    for branch, spont in (("minus", 1.0), ("plus", 0.0)):
+        want = -pv_reference(lambda x: numerator(x, spont), 1.0, 50.0)
+        got = doc[branch][k][0][0][1]
+        assert got == pytest.approx(want, rel=1e-6), branch

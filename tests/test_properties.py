@@ -1,0 +1,89 @@
+"""Property tests of the generator's invariants on random systems."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from stoclim import (  # noqa: E402
+    BathSpec,
+    StructureMapSet,
+    bohr_frequencies,
+    build_generator,
+    correlation_table,
+    genericity_check,
+    leibniz_defect,
+    offdiag_rate,
+    spectral_decompose,
+)
+from stoclim.generator import NonGenericError, apply_adjoint  # noqa: E402
+from stoclim.operators import dag  # noqa: E402
+
+
+def hermitian(parts):
+    a = parts[0] + 1j * parts[1]
+    return 0.5 * (a + dag(a))
+
+
+@st.composite
+def systems(draw):
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 2))
+    entries = arrays(np.float64, (2, d, d), elements=st.floats(-1.0, 1.0))
+    h = hermitian(draw(entries))
+    couplings = [hermitian(draw(entries)) for _ in range(n)]
+    beta = draw(st.floats(0.2, 5.0))
+    # complex form factors make the cross-rate matrices non-symmetric
+    slopes = [draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    bath = BathSpec(beta=beta, form_factors=[lambda w, c=c: 1.0 + 1j * c * w for c in slopes])
+    # Hermitian shift matrices stand in for the principal-value constants
+    # (which quadrature would make slow to draw)
+    shift_entries = arrays(np.float64, (2, n, n), elements=st.floats(-5.0, 5.0))
+    shifts = [hermitian(draw(shift_entries)) for _ in range(2)]
+    probes = [draw(entries) for _ in range(3)]
+    return h, couplings, bath, shifts, [p[0] + 1j * p[1] for p in probes]
+
+
+@given(systems())
+def test_generator_invariants(system):
+    h, couplings, bath, (s_minus, s_plus), (x, y, z) = system
+    spec = spectral_decompose(h)
+    bohr = bohr_frequencies(spec)
+    table = correlation_table(bath, bohr, len(couplings))
+    # shifts scaled with each constant: a shift far above a rate would
+    # leave rounding of its own size in the rate matrix, which the
+    # positivity check, relative to the rates, rejects
+    table = dataclasses.replace(
+        table,
+        minus=tuple(m + 1j * np.abs(m).max() * s_minus for m in table.minus),
+        plus=tuple(p + 1j * np.abs(p).max() * s_plus for p in table.plus),
+    )
+    gen = build_generator(spec, couplings, table, bohr)
+    d = gen.dim
+    scale = gen.norm_scale() * max(1.0, float(np.abs(np.asarray(couplings)).max())) ** 2
+
+    # trace preservation and Hermiticity preservation
+    assert abs(np.trace(apply_adjoint(gen, x))) <= 1e-12 * scale * np.abs(x).max()
+    herm = apply_adjoint(gen, x + dag(x))
+    assert np.abs(herm - dag(herm)).max() <= 1e-12 * scale * np.abs(x).max()
+
+    # each coherence's diagonal superoperator entry is the closed-form rate
+    pairs = [(mu, nu) for mu in range(d) for nu in range(d) if mu != nu]
+    lsup = gen.superoperator
+    if genericity_check(spec, bohr).is_generic:
+        for mu, nu in pairs:
+            entry = lsup[mu + d * nu, mu + d * nu]
+            assert abs(offdiag_rate(gen, mu, nu) - entry) <= 1e-12 * scale
+    else:
+        with pytest.raises(NonGenericError):
+            offdiag_rate(gen, *pairs[0])
+
+    # product rule for normalised observables
+    assume(min(np.linalg.norm(y), np.linalg.norm(z)) > 1e-6)
+    y_n = y / np.linalg.norm(y)
+    z_n = z / np.linalg.norm(z)
+    assert leibniz_defect(StructureMapSet(gen), y_n, z_n) <= 1e-10
