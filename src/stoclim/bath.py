@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .operators import BohrSet
 
@@ -47,9 +47,6 @@ __all__ = [
     "filtered_density",
     "principal_value_integral",
 ]
-
-#: default excision radius for principal-value integrals, relative to the cutoff
-PV_EXCISION_SCALE = 1e-4
 
 
 class BathConfigurationError(ValueError):
@@ -250,7 +247,9 @@ def correlation_table(
     """Tabulate the reservoir constants on a transition-frequency set.
 
     Hermitian parts follow the delta-shell closed form; with ``lamb_shift``
-    on, the anti-Hermitian parts are computed by principal-value quadrature.
+    on, the anti-Hermitian parts are computed by principal-value quadrature,
+    once per unordered coupling pair: the shift of (j, i) is the complex
+    conjugate of that of (i, j).
     A non-finite constant raises :class:`BathDomainError` naming the
     frequency and the coupling pair.
     """
@@ -271,10 +270,12 @@ def correlation_table(
                     m[i, j] = shell * gg * _emission_weight(bath, w)
                     p[i, j] = shell * gg * filtered_density(bath, w)
         if bath.lamb_shift and _shell_open(bath, w):
-            for i in range(n_couplings):
-                for j in range(n_couplings):
-                    m[i, j] += 1j * pv_lamb_shift(bath, w, (i, j), branch="minus")
-                    p[i, j] += 1j * pv_lamb_shift(bath, w, (i, j), branch="plus")
+            for c, branch in ((m, "minus"), (p, "plus")):
+                for i, j in combinations_with_replacement(range(n_couplings), 2):
+                    s = pv_lamb_shift(bath, w, (i, j), branch=branch)
+                    c[i, j] += 1j * s
+                    if i != j:
+                        c[j, i] += 1j * np.conj(s)
         for name, c in (("minus", m), ("plus", p)):
             bad = np.argwhere(~np.isfinite(c))
             if bad.size:
@@ -318,43 +319,42 @@ def principal_value_integral(
 ) -> float:
     """Cauchy principal value of ``f(x)/(x - pole)`` over (a, b).
 
-    Uses symmetric excision of radius h around the pole plus adaptive
-    quadrature on the remaining intervals, with one Richardson step over
-    h and h/2 to cancel the leading excision error.  If the pole lies
-    outside [a, b], this reduces to plain adaptive quadrature.
+    For ``a < pole < b`` the pole is subtracted:
+    ``P int_a^b f/(x-c) = int_a^b (f(x)-f(c))/(x-c) dx + f(c) ln((b-c)/(c-a))``.
+    The logarithm is exact; the bounded quotient takes one adaptive
+    quadrature with the pole as a break point, which it never samples.  A
+    jump of ``f`` at the pole diverges (:class:`BathDomainError`).  A pole
+    outside (a, b) leaves plain adaptive quadrature of ``f(x)/(x - pole)``.
+    ``excision`` is accepted for compatibility and ignored.
     """
-    return _principal_value(f, a, b, pole, excision, nodes=())
+    return _principal_value(f, a, b, pole, nodes=())
 
 
-def _principal_value(f, a, b, pole, excision, nodes) -> float:
-    # ``nodes`` are kinks of a tabulated integrand; those inside an
-    # integration interval are handed to quad as break points, so that it
-    # does not mistake them for roundoff.  Without any, the call is the
-    # plain adaptive one.
-    def integrand(x: float) -> float:
-        return f(x) / (x - pole)
+def _principal_value(f, a, b, pole, nodes) -> float:
+    # ``nodes`` are kinks or jumps of the numerator; those inside (a, b) are
+    # handed to quad as break points, together with an interior pole, so
+    # that it neither mistakes them for roundoff nor samples the pole.
+    from scipy import integrate
 
-    def quad(lo: float, hi: float) -> float:
-        inner = [x for x in nodes if lo < x < hi]
+    def quad(g, points) -> float:
+        inner = sorted({x for x in points if a < x < b})
         opts = dict(limit=200 + len(inner), epsabs=1e-11, epsrel=1e-11)
         if inner:
             opts["points"] = inner
-        return integrate.quad(integrand, lo, hi, **opts)[0]
+        return integrate.quad(g, a, b, **opts)[0]
 
     if not (a < pole < b):
-        return quad(a, b)
+        return quad(lambda x: f(x) / (x - pole), nodes)
+    f_pole = f(pole)
 
-    if excision is None:
-        excision = PV_EXCISION_SCALE * (b - a)
-    half_gap = min(pole - a, b - pole)
-    excision = min(excision, 0.5 * half_gap)
+    def quotient(x: float) -> float:
+        if x == pole:
+            # quad bisects down to the pole only when f jumps there
+            raise BathDomainError(f"principal value diverges: f jumps at {pole}")
+        return (f(x) - f_pole) / (x - pole)
 
-    def excised(h: float) -> float:
-        return quad(a, pole - h) + quad(pole + h, b)
-
-    v_h = excised(excision)
-    v_h2 = excised(0.5 * excision)
-    return 2.0 * v_h2 - v_h
+    regular = quad(quotient, (*nodes, pole))
+    return regular + f_pole * math.log((b - pole) / (pole - a))
 
 
 def pv_lamb_shift(
@@ -372,10 +372,15 @@ def pv_lamb_shift(
     the product-rule identity of the generator module.
 
     Diagonal pairs give a plain float; cross pairs of complex form factors
-    get a complex constant, integrated leg by leg.  Frequencies at or above
-    the cutoff are a domain error; so is an integrand whose infrared
-    behaviour renders the integral divergent.
+    get a complex constant, integrated leg by leg.  Each leg is one
+    pole-subtracted quadrature (:func:`principal_value_integral`) with break
+    points at the pole, the ``rho`` nodes of tabulated profiles and
+    ``filter_max``.  Frequencies at or above the cutoff are a domain error;
+    so is a divergent integral: an infrared divergence, or a numerator that
+    jumps at ``omega`` (a frequency on ``filter_max``).
     """
+    from scipy import integrate
+
     if bath.kernel != "quadrature":
         raise BathConfigurationError("level shifts require the quadrature kernel")
     if bath.uv_cutoff is None:
@@ -405,23 +410,17 @@ def pv_lamb_shift(
     profiles = [bath.mode_density]
     if bath.form_factors is not None:
         profiles += [bath.form_factors[i], bath.form_factors[j]]
-    nodes = sorted({float(x) for f in profiles for x in getattr(f, "rho", ())})
+    nodes = {float(x) for f in profiles for x in getattr(f, "rho", ())}
+    if bath.filter_max is not None:
+        nodes.add(float(bath.filter_max))
 
-    vals = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            for leg in legs:
-                vals.append(
-                    _principal_value(
-                        leg,
-                        0.0,
-                        float(bath.uv_cutoff),
-                        float(omega),
-                        PV_EXCISION_SCALE * float(bath.uv_cutoff),
-                        nodes,
-                    )
-                )
+            vals = [
+                _principal_value(leg, 0.0, float(bath.uv_cutoff), float(omega), nodes)
+                for leg in legs
+            ]
         except integrate.IntegrationWarning as exc:
             raise BathDomainError(
                 f"shift integral did not converge at frequency {omega} "

@@ -1,0 +1,172 @@
+"""Principal-value level shifts: pole subtraction, break points, pair symmetry."""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import stoclim
+import stoclim.bath
+from stoclim import (
+    BathDomainError,
+    BathSpec,
+    bohr_frequencies,
+    correlation_table,
+    principal_value_integral,
+    pv_lamb_shift,
+    spectral_decompose,
+)
+from stoclim.config import TabulatedProfile
+
+GAUSS_X, GAUSS_W = np.polynomial.legendre.leggauss(20)
+
+
+def graded_rule(lo, hi):
+    """Nodes and weights on (lo, hi): 20-point Gauss-Legendre on cells graded
+    geometrically towards both ends, down to 1e-12 of the length but no
+    narrower than about 1e4 ulps of the end points."""
+    s_min = max(1e-12, 1e4 * np.finfo(float).eps * max(abs(lo), abs(hi)) / (hi - lo))
+    s = np.geomspace(s_min, 0.5, 50)
+    edges = lo + (hi - lo) * np.unique(np.concatenate([[0.0], s, 1.0 - s, [1.0]]))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * GAUSS_X).ravel(), (half[:, None] * GAUSS_W).ravel()
+
+
+def pv_reference(pieces, omega):
+    """PV of f(x)/(x - omega) for f smooth on each piece ``(lo, hi, f)``.
+
+    On each piece f is subtracted at the point ``x0`` of the piece nearest to
+    omega, which leaves a bounded quotient on a fine graded grid (omega and
+    the piece ends are cell edges), and the subtracted part integrates to
+    ``f(x0) ln(|hi - omega| / |lo - omega|)``.
+    """
+    total = 0.0
+    for lo, hi, f in pieces:
+        x0 = min(max(omega, lo), hi)
+        f0 = f(np.array([x0]))[0]
+        cuts = [lo, omega, hi] if lo < omega < hi else [lo, hi]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            x, w = graded_rule(a, b)
+            total += np.sum(w * (f(x) - f0) / (x - omega))
+        total += f0 * math.log(abs(hi - omega) / abs(lo - omega))
+    return total
+
+
+@pytest.mark.parametrize("omega", [1e-3, 49.9])
+@pytest.mark.parametrize("branch", ["minus", "plus"])
+def test_thermal_shift_near_band_ends(omega, branch):
+    bath = BathSpec(beta=1.0, kernel="quadrature", uv_cutoff=50.0, lamb_shift=True)
+    spont = 1.0 if branch == "minus" else 0.0
+    numerator = lambda x: 4.0 * math.pi * x * (1.0 / np.expm1(x) + spont)
+    want = -pv_reference([(0.0, 50.0, numerator)], omega)
+    assert pv_lamb_shift(bath, omega, branch=branch) == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("gap", [3.6637760088773543, 4.0, 2.999999, 3.0000001])
+@pytest.mark.parametrize("branch", ["minus", "plus"])
+def test_shift_next_to_filter_edge(gap, branch):
+    # the filtered density jumps to zero at filter_max: a pole close to the
+    # jump used to raise a spurious divergence or return a wrong value
+    edge, cutoff = 3.0, 30.0
+    bath = BathSpec(
+        beta=2.0,
+        kernel="quadrature",
+        uv_cutoff=cutoff,
+        lamb_shift=True,
+        filter_max=edge,
+        mode_density=lambda r: 0.3 / (1.0 + r),
+    )
+    spont = 1.0 if branch == "minus" else 0.0
+    pieces = [
+        (0.0, edge, lambda x: 4.0 * math.pi * x * (0.3 / (1.0 + x) + spont)),
+        (edge, cutoff, lambda x: 4.0 * math.pi * x * spont),
+    ]
+    want = -pv_reference(pieces, gap)
+    assert pv_lamb_shift(bath, gap, branch=branch) == pytest.approx(want, rel=1e-11)
+
+
+def test_jump_at_pole_is_divergent():
+    # a jump of the numerator at the pole leaves a logarithmic divergence
+    bath = BathSpec(
+        beta=2.0, kernel="quadrature", uv_cutoff=30.0, lamb_shift=True, filter_max=3.0
+    )
+    with pytest.raises(BathDomainError, match="jumps"):
+        pv_lamb_shift(bath, 3.0, branch="plus")
+    with pytest.raises(BathDomainError, match="jumps"):
+        principal_value_integral(lambda x: float(x < 1.0), 0.0, 2.0, 1.0)
+
+
+def test_excision_argument_is_ignored():
+    f = lambda x: math.exp(-x) * math.cos(x)
+    base = principal_value_integral(f, 0.0, 5.0, 1.3)
+    assert principal_value_integral(f, 0.0, 5.0, 1.3, excision=0.1) == base
+    assert principal_value_integral(f, 0.0, 5.0, 1.3, 1e-6) == base
+
+
+def test_pole_on_tabulated_node():
+    # a pole on a break point of the numerator: quad never samples it
+    kinked = TabulatedProfile(np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 2.0]))
+    bath = BathSpec(
+        beta=1.0, kernel="quadrature", uv_cutoff=2.0, lamb_shift=True, mode_density=kinked
+    )
+    pieces = [
+        (0.0, 1.0, lambda x: 4.0 * math.pi * x * (2.0 - x)),
+        (1.0, 2.0, lambda x: 4.0 * math.pi * x * x),
+    ]
+    # the numerator is continuous at the node and the pole sits mid-band,
+    # so the subtracted logarithm is ln(1/1) = 0
+    want = 0.0
+    for lo, hi, f in pieces:
+        x, w = graded_rule(lo, hi)
+        want -= np.sum(w * (f(x) - 4.0 * math.pi) / (x - 1.0))
+    assert pv_lamb_shift(bath, 1.0, branch="plus") == pytest.approx(want, rel=1e-11)
+
+
+def test_shift_blocks_filled_by_conjugation(monkeypatch):
+    # two complex form factors: the (j, i) shift is the conjugate of (i, j),
+    # so each unordered pair is integrated once
+    form_factors = [lambda r: 1.0 + 0.2j * r, lambda r: 0.5 * np.exp(-0.1j * r)]
+    bath = BathSpec(
+        beta=1.0,
+        kernel="quadrature",
+        uv_cutoff=20.0,
+        lamb_shift=True,
+        form_factors=form_factors,
+    )
+    spec = spectral_decompose(np.diag([0.0, 0.7, 1.9]))
+    bohr = bohr_frequencies(spec)
+    calls = []
+    real = stoclim.bath.pv_lamb_shift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stoclim.bath, "pv_lamb_shift", counted)
+    table = correlation_table(bath, bohr, n_couplings=2)
+    open_shells = [w for w in bohr.frequencies if 0 < w < 20.0]
+    assert len(calls) == 2 * 3 * len(open_shells)
+    for w in open_shells:
+        for shift, branch in ((table.shift_minus(w), "minus"), (table.shift_plus(w), "plus")):
+            assert np.array_equal(shift, shift.conj().T)
+            for i in range(2):
+                for j in range(2):
+                    want = real(bath, w, (i, j), branch=branch)
+                    assert shift[i, j] == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is imported where quadrature runs, not with the package
+    src = os.path.dirname(os.path.dirname(stoclim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, stoclim, stoclim.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,8 @@
-"""Property tests of the generator's invariants on random systems."""
+"""Property tests of the generator's invariants on random systems, and of
+the principal-value quadrature on random polynomial numerators."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from stoclim import (  # noqa: E402
     genericity_check,
     leibniz_defect,
     offdiag_rate,
+    principal_value_integral,
     spectral_decompose,
 )
 from stoclim.generator import NonGenericError, apply_adjoint  # noqa: E402
@@ -87,3 +90,25 @@ def test_generator_invariants(system):
     y_n = y / np.linalg.norm(y)
     z_n = z / np.linalg.norm(z)
     assert leibniz_defect(StructureMapSet(gen), y_n, z_n) <= 1e-10
+
+
+@given(
+    coeffs=arrays(np.float64, 4, elements=st.floats(-10.0, 10.0)),
+    a=st.floats(-5.0, 5.0),
+    length=st.floats(0.1, 10.0),
+    u=st.floats(0.01, 0.99),
+)
+def test_principal_value_of_cubic(coeffs, a, length, u):
+    # p(x)/(x - c) = q(x) + p(c)/(x - c) with q the polynomial quotient, so
+    # the principal value is int q + p(c) ln((b - c)/(c - a)) in closed form
+    P = np.polynomial.Polynomial
+    p = P(coeffs)
+    b, c = a + length, a + u * length
+    q = (p - p(c)) // P([-c, 1.0])
+    log = math.log((b - c) / (c - a))
+    exact = q.integ()(b) - q.integ()(a) + p(c) * log
+    got = principal_value_integral(p, a, b, c)
+    # the rounding of p near the pole is of order eps * |p|, so the error is
+    # measured against the size of both terms rather than their sum
+    scale = length * np.abs(q(np.linspace(a, b, 101))).max() + abs(p(c)) * (1.0 + abs(log))
+    assert abs(got - exact) <= 1e-12 * max(scale, 1e-300)
