@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -55,10 +55,6 @@ class BathConfigurationError(ValueError):
 
 class BathDomainError(ValueError):
     """Reservoir quantity requested outside its domain of definition."""
-
-
-def _unit_form_factor(rho: float) -> float:
-    return 1.0
 
 
 @dataclass

@@ -84,6 +84,23 @@ def _write_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(args, header: list, table) -> None:
+    """CSV with one header line and every cell printed by :func:`_fmt`."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
+    _write_text(args, "\n".join(lines) + "\n")
+
+
+def _re_im(labels: list, values) -> tuple[list, np.ndarray]:
+    """Interleaved ``re_``/``im_`` header names and columns of complex values.
+
+    ``values`` holds one complex array per row, flattened row-major in the
+    order of ``labels``.
+    """
+    # a C-contiguous complex array read as floats interleaves (re, im)
+    columns = np.array(values, dtype=complex).reshape(len(values), -1).view(float)
+    return [f"{part}_{label}" for label in labels for part in ("re", "im")], columns
+
+
 def _load(args) -> RunConfig | None:
     cfg = load_config(args.config) if getattr(args, "config", None) else None
     if cfg is not None and cfg.bath is not None and getattr(args, "dos", None):
@@ -157,27 +174,23 @@ def cmd_rates(args) -> int:
         }
         _write_text(args, json.dumps(doc, indent=2) + "\n")
         return 0
-    header = ["omega"]
-    for name in ("minus", "plus"):
-        for i in range(n):
-            for j in range(n):
-                header.append(f"re_{name}_{i}_{j}")
-                header.append(f"im_{name}_{i}_{j}")
-    rows = [",".join(header)]
-    for k, w in enumerate(table.frequencies):
-        cells = [_fmt(w)]
-        for block in (table.minus[k], table.plus[k]):
-            for i in range(n):
-                for j in range(n):
-                    cells.append(_fmt(block[i, j].real))
-                    cells.append(_fmt(block[i, j].imag))
-        rows.append(",".join(cells))
-    _write_text(args, "\n".join(rows) + "\n")
+    labels = [
+        f"{name}_{i}_{j}" for name in ("minus", "plus") for i in range(n) for j in range(n)
+    ]
+    header, columns = _re_im(labels, np.concatenate([table.minus, table.plus], axis=1))
+    _write_csv(args, ["omega", *header], np.column_stack([table.frequencies, columns]))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # generator
+
+
+def _generator(spec, couplings, bath: BathSpec):
+    """Spectrum -> Bohr frequencies -> reservoir table -> generator."""
+    bohr = bohr_frequencies(spec)
+    table = correlation_table(bath, bohr, n_couplings=max(1, len(couplings)))
+    return build_generator(spec, couplings, table, bohr)
 
 
 def _build_from_config(cfg: RunConfig):
@@ -186,10 +199,7 @@ def _build_from_config(cfg: RunConfig):
     bath = cfg.require_bath()
     if cfg.spin is not None:
         return quantum_glauber_generator(cfg.spin, bath)
-    spec, couplings = cfg.system()
-    bohr = bohr_frequencies(spec)
-    table = correlation_table(bath, bohr, n_couplings=max(1, len(couplings)))
-    return build_generator(spec, couplings, table, bohr)
+    return _generator(*cfg.system(), bath)
 
 
 def cmd_generator(args) -> int:
@@ -261,23 +271,13 @@ def cmd_evolve(args) -> int:
     rho0 = _initial_state(cfg, args, spec)
     times = _times(args, cfg)
     traj = evolve(gen, rho0, times)
-    d = spec.dim
-    header = ["t"]
-    for mu in range(d):
-        for nu in range(d):
-            header.append(f"re_{mu}_{nu}")
-            header.append(f"im_{mu}_{nu}")
-    rows = [",".join(header)]
-    basis = spec.basis
-    for t, rho in zip(traj.times, traj.states):
-        eig = dag(basis) @ rho @ basis  # eigenbasis, energy-ordered
-        cells = [_fmt(t)]
-        for mu in range(d):
-            for nu in range(d):
-                cells.append(_fmt(eig[mu, nu].real))
-                cells.append(_fmt(eig[mu, nu].imag))
-        rows.append(",".join(cells))
-    _write_text(args, "\n".join(rows) + "\n")
+    v = spec.basis
+    # states in the eigenbasis, energy-ordered
+    header, columns = _re_im(
+        [f"{mu}_{nu}" for mu in range(spec.dim) for nu in range(spec.dim)],
+        [dag(v) @ rho @ v for rho in traj.states],
+    )
+    _write_csv(args, ["t", *header], np.column_stack([traj.times, columns]))
     return 0
 
 
@@ -319,34 +319,25 @@ def cmd_glauber(args) -> int:
         raise ConfigError(
             f"initial configuration {idx} outside 0..{cs.dim - 1}"
         )
-    rows = []
     if args.mode == "classical":
         cks = classical_glauber_generator(cs, bath)
         p0 = np.zeros(cks.size)
         p0[idx] = 1.0
         dist = cks.evolve(p0, times)
-        rows.append("t,magnetization,energy")
-        for t, p in zip(times, dist):
-            rows.append(
-                ",".join(
-                    (_fmt(t), _fmt(mags @ p), _fmt(energies @ p))
-                )
-            )
+        header = ["t", "magnetization", "energy"]
+        table = [(t, mags @ p, energies @ p) for t, p in zip(times, dist)]
     else:
         gen = quantum_glauber_generator(cs, bath)
         rho0 = np.zeros((cs.dim, cs.dim), dtype=complex)
         rho0[idx, idx] = 1.0
         traj = evolve(gen, rho0, times)
-        rows.append("t,magnetization,energy,offdiag_l1")
+        header = ["t", "magnetization", "energy", "offdiag_l1"]
+        table = []
         for t, rho in zip(traj.times, traj.states):
             pops = np.real(np.diag(rho))
-            l1 = float(np.abs(rho).sum() - np.abs(np.diag(rho)).sum())
-            rows.append(
-                ",".join(
-                    (_fmt(t), _fmt(mags @ pops), _fmt(energies @ pops), _fmt(l1))
-                )
-            )
-    _write_text(args, "\n".join(rows) + "\n")
+            l1 = np.abs(rho).sum() - np.abs(np.diag(rho)).sum()
+            table.append((t, mags @ pops, energies @ pops, l1))
+    _write_csv(args, header, table)
     return 0
 
 
@@ -410,10 +401,7 @@ def _leibniz_system(cfg: RunConfig | None):
         return _build_from_config(cfg)
     h = np.diag([0.0, 1.0]).astype(complex)
     d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    spec = spectral_decompose(h)
-    bohr = bohr_frequencies(spec)
-    table = correlation_table(BathSpec(beta=1.0), bohr, n_couplings=1)
-    return build_generator(spec, [d], table, bohr)
+    return _generator(spectral_decompose(h), [d], BathSpec(beta=1.0))
 
 
 def _suite_leibniz(cfg: RunConfig | None, args) -> tuple[bool, dict]:
@@ -474,13 +462,10 @@ def _suite_coherence_control(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     d_op = np.ones((3, 3), dtype=complex) - np.eye(3)
     beta = 1.0
     spec = spectral_decompose(h)
-    bohr = bohr_frequencies(spec)
     filtered = BathSpec(
         beta=beta, filter_max=2.0, spontaneous_emission=False
     )
-    gen_f = build_generator(
-        spec, [d_op], correlation_table(filtered, bohr, 1), bohr
-    )
+    gen_f = _generator(spec, [d_op], filtered)
     intra = diagonal_restriction(gen_f).rate_matrix
     intra_rate = float(-np.diag(intra).min())
     horizon = 100.0 / intra_rate
@@ -494,9 +479,7 @@ def _suite_coherence_control(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     settle = float(abs(pops[-1, 0] - pops[-1, 1]))
     thermalized = moved > 1e-3 and settle <= 1e-10
     open_bath = BathSpec(beta=beta)
-    gen_o = build_generator(
-        spec, [d_op], correlation_table(open_bath, bohr, 1), bohr
-    )
+    gen_o = _generator(spec, [d_op], open_bath)
     krest = np.asarray(diagonal_restriction(gen_o).rate_matrix)
     expected = emission_rate(open_bath, 5.0) + emission_rate(open_bath, 4.3)
     outflow = float(-krest[2, 2])

@@ -20,7 +20,7 @@ sample to sample: with a dense ``expm(K dt)`` up to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -181,7 +181,12 @@ def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult
     """Stationary state(s) of the generator via a dense null-space solve.
 
     The null space is taken in the energy eigenbasis and its operator basis
-    rotated back to the lab basis.
+    rotated back to the lab basis.  It is the null space of the generator
+    as assembled, which has no free-Hamiltonian term ``-i[H, rho]``, so a
+    coherence that no channel and no shift touches counts as stationary
+    although it rotates under H.  For example H = diag(0, 1, 2.5), one
+    coupling between levels 0 and 1 only, and beta = inf give nullity 4,
+    including |0><2| and |2><0|, for which ||[H, X]|| = 2.5.
     """
     dense = gen.superoperator.toarray()
     ns = null_space(dense, rcond=rank_tol)
@@ -302,30 +307,22 @@ def diagonal_restriction(
     """
     d = gen.dim
     if basis is None:
-        v = gen.spec.basis
         r = np.eye(d)
     else:
-        v = np.asarray(basis, dtype=complex)
-        r = dag(gen.spec.basis) @ v
+        r = dag(gen.spec.basis) @ np.asarray(basis, dtype=complex)
     # column a: vectorize(|r_a><r_a|), the population projector a in the eigenbasis
     pops = (r[:, np.newaxis, :] * r.conj()[np.newaxis, :, :]).reshape(d * d, d, order="F")
     w = np.real(pops.conj().T @ (gen.superoperator @ pops))
     np.fill_diagonal(w, 0.0)
     k = w.copy()
     k[np.diag_indices(d)] = -w.sum(axis=0)
-    energies = np.real(np.diag(dag(v) @ _free_hamiltonian(gen.spec) @ v))
+    # <r_a| H |r_a> in the eigenbasis, where H is diagonal
+    energies = (np.abs(r) ** 2).T @ gen.spec.energies[gen.spec.level_of_column]
     cks = ClassicalKineticSystem(
         labels=tuple(range(d)), energies=energies, rate_matrix=k
     )
     cks.validate()
     return cks
-
-
-def _free_hamiltonian(spec: SpectralData) -> np.ndarray:
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for e, p in zip(spec.energies, spec.projectors):
-        h += e * p
-    return h
 
 
 def detailed_balance_residual(

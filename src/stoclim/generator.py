@@ -243,11 +243,13 @@ def build_generator(
         if w > bohr.match_tol:
             gm = m + dag(m)
             gp = p + dag(p)
-            for name, rates in (("gamma_minus", gm), ("gamma_plus", gp)):
+            for name, c, rates in (("gamma_minus", m, gm), ("gamma_plus", p, gp)):
                 # eigvalsh does not propagate NaN, so test finiteness first
                 finite = np.isfinite(rates).all()
                 lo = float(np.linalg.eigvalsh(rates).min()) if finite else np.nan
-                if not lo >= -1e-12 * np.abs(rates).max():
+                # c + c^dag rounds at the scale of the whole constant, shift
+                # included, so the floor is relative to the constants
+                if not lo >= -1e-12 * np.abs(c).max():
                     raise BathDomainError(
                         f"{name} at omega={float(w)!r} has eigenvalue {lo:.6g}; "
                         "a generator with negative rates is not completely positive"

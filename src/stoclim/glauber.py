@@ -80,7 +80,6 @@ __all__ = [
 MAX_CLASSICAL_SITES = 20
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _EYE2 = np.eye(2)
 # projector onto spin s at one site, and the half-flip |-s><s|
 _PROJ = {1: np.array([[1.0, 0.0], [0.0, 0.0]]), -1: np.array([[0.0, 0.0], [0.0, 1.0]])}
@@ -219,17 +218,15 @@ def flip_frequency(cs: SpinChainSpec, sigma: Sequence[int], r: int) -> float:
     configuration-energy change of the flip is minus twice the site spin
     times this value, so cancelling neighbours (equal couplings, opposite
     spins) make the flip energy-neutral: the dissipative channel is silent
-    no matter how the site itself points.
+    no matter how the site itself points.  Configurations stacked along
+    leading axes (``sigma[..., site]``) give an array of frequencies.
     """
     s = np.asarray(sigma)
-    out = 0.0
-    lb = cs.left_bond(r)
-    if lb is not None:
-        out += lb[1] * float(s[lb[0]])
-    rb = cs.right_bond(r)
-    if rb is not None:
-        out += rb[1] * float(s[rb[0]])
-    return out
+    out = np.zeros(s.shape[:-1])
+    for bond in (cs.left_bond(r), cs.right_bond(r)):
+        if bond is not None:
+            out += bond[1] * s[..., bond[0]]
+    return out if out.ndim else float(out)
 
 
 def energy_release(cs: SpinChainSpec, sigma: Sequence[int], r: int) -> float:
@@ -237,10 +234,12 @@ def energy_release(cs: SpinChainSpec, sigma: Sequence[int], r: int) -> float:
 
     Positive means the flip goes downhill.  Local evaluation keeps the
     zero of an energy-neutral flip exact instead of a difference of two
-    rounded configuration energies.
+    rounded configuration energies.  Stacked configurations as in
+    :func:`flip_frequency`.
     """
     s = np.asarray(sigma)
-    return -2.0 * float(s[r]) * flip_frequency(cs, sigma, r)
+    out = -2.0 * s[..., r] * flip_frequency(cs, s, r)
+    return out if out.ndim else float(out)
 
 
 def frozen_sites(cs: SpinChainSpec, sigma: Sequence[int]) -> np.ndarray:
@@ -308,8 +307,8 @@ def _site_operator(op: np.ndarray, r: int, n: int) -> np.ndarray:
 def ising_system(cs: SpinChainSpec) -> tuple[np.ndarray, list]:
     """Tensor-product Hamiltonian and the per-site flip couplings.
 
-    Returns ``H = -sum_bonds J Z_a Z_b`` (diagonal in the configuration
-    basis, with diagonal equal to configuration_energies) and one coupling
+    Returns ``H = -sum_bonds J Z_a Z_b``, the diagonal matrix of
+    configuration_energies in the configuration basis, and one coupling
     operator per site, sigma^x at that site.
     """
     d = cs.dim
@@ -318,11 +317,8 @@ def ising_system(cs: SpinChainSpec) -> tuple[np.ndarray, list]:
             f"dimension {d} exceeds the dense cap {MAX_DIMENSION}"
         )
     n = cs.n_sites
-    h = np.zeros((d, d))
-    for (a, b), j in zip(cs.bond_sites(), cs.coupling):
-        h -= j * (_site_operator(_PAULI_Z, a, n) @ _site_operator(_PAULI_Z, b, n))
     couplings = [_site_operator(_PAULI_X, r, n) for r in range(n)]
-    return h, couplings
+    return np.diag(configuration_energies(cs)), couplings
 
 
 def classical_glauber_generator(
@@ -346,11 +342,7 @@ def classical_glauber_generator(
     configs = np.arange(size)
     rows, vals = [], []
     for r in range(n):
-        field = np.zeros(size)
-        for bond in (cs.left_bond(r), cs.right_bond(r)):
-            if bond is not None:
-                field += bond[1] * spins[:, bond[0]]
-        levels, level_of = np.unique(-2.0 * spins[:, r] * field, return_inverse=True)
+        levels, level_of = np.unique(energy_release(cs, spins, r), return_inverse=True)
         rates = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
         rows.append(configs ^ (1 << (n - 1 - r)))
         vals.append(rates[level_of])

@@ -308,3 +308,45 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["evolve", "--config", cfg, "--points", "3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical error: trace drifted")
+
+
+def csv_header_with_17_digit_cells(text):
+    """Header of a CSV document whose every cell is printed with 17 digits."""
+    header, *rows = text.splitlines()
+    for row in rows:
+        for cell in row.split(","):
+            assert cell == format(float(cell), ".17g")
+    return header
+
+
+def test_csv_headers_and_cell_format(tmp_path, capsys):
+    from stoclim import cli
+
+    doc = two_level_doc()
+    doc["couplings"].append([[0.5, 0.0], [0.0, -0.5]])
+    cfg = write_config(tmp_path / "sys.json", doc)
+    cases = [
+        (
+            ["rates", "--config", cfg],
+            "omega,re_minus_0_0,im_minus_0_0,re_minus_0_1,im_minus_0_1,"
+            "re_minus_1_0,im_minus_1_0,re_minus_1_1,im_minus_1_1,"
+            "re_plus_0_0,im_plus_0_0,re_plus_0_1,im_plus_0_1,"
+            "re_plus_1_0,im_plus_1_0,re_plus_1_1,im_plus_1_1",
+        ),
+        (
+            ["evolve", "--config", cfg, "--t-max", "1", "--points", "3"],
+            "t,re_0_0,im_0_0,re_0_1,im_0_1,re_1_0,im_1_0,re_1_1,im_1_1",
+        ),
+        (
+            ["glauber", "--sites", "3", "--beta", "1", "--t-max", "1", "--points", "3"],
+            "t,magnetization,energy",
+        ),
+        (
+            ["glauber", "--sites", "3", "--beta", "1", "--t-max", "1", "--points", "3",
+             "--mode", "quantum"],
+            "t,magnetization,energy,offdiag_l1",
+        ),
+    ]
+    for argv, header in cases:
+        assert cli.main(argv) == 0
+        assert csv_header_with_17_digit_cells(capsys.readouterr().out) == header

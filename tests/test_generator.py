@@ -320,3 +320,28 @@ def test_vectorize_roundtrip():
     e = matrix_unit(3, 1, 2)
     v = vectorize(e)
     assert v[np.flatnonzero(v)[0]] == 1.0
+
+
+def test_positivity_floor_scales_with_shift_constants():
+    # at low temperature the absorption rates are tiny next to the level
+    # shifts, and the complex cross-pair shifts of two couplings leave
+    # rounding of order eps * |shift| in the rank-one rate matrix; the
+    # positivity check must not read that rounding as a negative rate
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        h = np.diag(np.cumsum([0.0, *rng.uniform(1.5, 3.0, 2)])).astype(complex)
+        couplings = [random_hermitian(rng, 3), random_hermitian(rng, 3)]
+        slopes = rng.uniform(-1.0, 1.0, 2)
+        bath = BathSpec(
+            beta=8.0,
+            kernel="quadrature",
+            uv_cutoff=50.0,
+            lamb_shift=True,
+            form_factors=[lambda w, c=c: 1.0 + 1j * c * w for c in slopes],
+        )
+        spec = spectral_decompose(h)
+        bohr = bohr_frequencies(spec)
+        table = correlation_table(bath, bohr, 2)
+        gen = build_generator(spec, couplings, table, bohr)
+        rho_g = gibbs_state(8.0, spec)
+        assert np.abs(apply_schroedinger(gen, rho_g)).max() < 1e-11 * gen.norm_scale()

@@ -378,3 +378,37 @@ def test_classical_site_cap():
         classical_glauber_generator(
             SpinChainSpec(n_sites=MAX_CLASSICAL_SITES + 1), BathSpec(beta=1.0)
         )
+
+
+def random_bond_chain(rng, n, boundary):
+    n_bonds = SpinChainSpec(n_sites=n, boundary=boundary).n_bonds
+    return SpinChainSpec(
+        n_sites=n, coupling=rng.uniform(-2.0, 2.0, n_bonds).tolist(), boundary=boundary
+    )
+
+
+def test_stacked_flip_energies_match_scalar_calls():
+    # the classical generator rates every configuration at once through the
+    # stacked form, so it must agree with the one-configuration form bit for
+    # bit, signed zeros included
+    rng = np.random.default_rng(72)
+    for n, boundary in ((1, "open"), (2, "periodic"), (5, "open"), (6, "periodic")):
+        cs = random_bond_chain(rng, n, boundary)
+        spins = spin_configurations(n)
+        for r in range(n):
+            for rule in (flip_frequency, energy_release):
+                want = np.array([rule(cs, sigma, r) for sigma in spins])
+                assert all(type(rule(cs, sigma, r)) is float for sigma in spins[:2])
+                assert rule(cs, spins, r).tobytes() == want.tobytes()
+                stacked = rule(cs, spins.reshape(2, -1, n), r)
+                assert stacked.shape == (2, 2 ** (n - 1))
+                assert stacked.tobytes() == want.tobytes()
+
+
+def test_ising_hamiltonian_is_the_energy_diagonal():
+    rng = np.random.default_rng(73)
+    for n, boundary in ((1, "open"), (2, "periodic"), (4, "open"), (5, "periodic")):
+        cs = random_bond_chain(rng, n, boundary)
+        h, _ = ising_system(cs)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, np.diag(configuration_energies(cs)))

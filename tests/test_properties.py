@@ -47,7 +47,12 @@ def systems(draw):
     # (which quadrature would make slow to draw)
     shift_entries = arrays(np.float64, (2, n, n), elements=st.floats(-5.0, 5.0))
     shifts = [hermitian(draw(shift_entries)) for _ in range(2)]
-    probes = [draw(entries) for _ in range(3)]
+    # below the smallest normal float a value carries fewer significant
+    # bits, so the relative bounds below mean nothing there
+    probe_entries = arrays(
+        np.float64, (2, d, d), elements=st.floats(-1.0, 1.0, allow_subnormal=False)
+    )
+    probes = [draw(probe_entries) for _ in range(3)]
     return h, couplings, bath, shifts, [p[0] + 1j * p[1] for p in probes]
 
 
@@ -57,9 +62,8 @@ def test_generator_invariants(system):
     spec = spectral_decompose(h)
     bohr = bohr_frequencies(spec)
     table = correlation_table(bath, bohr, len(couplings))
-    # shifts scaled with each constant: a shift far above a rate would
-    # leave rounding of its own size in the rate matrix, which the
-    # positivity check, relative to the rates, rejects
+    # shifts scaled with each constant, so that shifts and rates of every
+    # branch are of comparable size
     table = dataclasses.replace(
         table,
         minus=tuple(m + 1j * np.abs(m).max() * s_minus for m in table.minus),
