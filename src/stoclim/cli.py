@@ -259,8 +259,8 @@ def _times(args, cfg: RunConfig | None) -> np.ndarray:
     points = args.points if args.points is not None else run.get("points", 100)
     t_max = float(t_max)
     points = int(points)
-    if t_max <= 0 or points < 2:
-        raise ConfigError("need t_max > 0 and at least 2 points")
+    if not (math.isfinite(t_max) and t_max > 0) or points < 2:
+        raise ConfigError("need a finite t_max > 0 and at least 2 points")
     return np.linspace(0.0, t_max, points)
 
 

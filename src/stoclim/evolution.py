@@ -2,19 +2,19 @@
 
 States are plain complex ndarrays validated by
 :func:`validate_density_matrix`; trajectories bundle times with states.
-Evolution and stationary states work on the generator's sparse
-energy-eigenbasis superoperator: trajectories step from sample to sample
-with the action of the matrix exponential (``expm_multiply``, Al-Mohy &
-Higham 2011) on any increasing time grid, and each sample is rotated back
-to the lab basis.
-
 The diagonal (population) sector of the generator is a classical jump
 process; :func:`diagonal_restriction` extracts its rate matrix, whose
 stationary distribution for a thermal reservoir is the Gibbs distribution
-(detailed balance).  :class:`ClassicalKineticSystem` reads a dense or
-sparse rate matrix through one CSC view and steps its distributions from
-sample to sample: with a dense ``expm(K dt)`` up to
-:data:`DENSE_KINETIC_STATES` states, with ``expm_multiply`` beyond.
+(detailed balance).
+
+Quantum (sparse energy-eigenbasis superoperator) and classical (rate
+matrix) solvers share one route: the weakly connected components of the
+generator's sparsity pattern, which refine its Bohr sectors (Baumgartner &
+Narnhofer, J. Phys. A 41, 395303, 2008).  Trajectories step from sample to
+sample on the components the initial state touches, with a batched dense
+``expm(M dt)`` per block size up to :data:`DENSE_KINETIC_STATES` states and
+``expm_multiply`` (Al-Mohy & Higham 2011) above; null spaces come from a
+batched SVD of the blocks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .generator import Generator, vectorize, unvectorize
@@ -51,8 +52,9 @@ __all__ = [
 #: per-sample bound on the trace drift before renormalisation aborts
 TRACE_DRIFT_BOUND = 1e-10
 
-#: rate matrices with up to this many states are propagated with dense step
-#: propagators (and the Glauber generator hands them out dense)
+#: connected components of a generator (quantum or classical) with up to this
+#: many states step with dense propagators, larger ones with expm_multiply;
+#: the Glauber generator hands out rate matrices of up to this size dense
 DENSE_KINETIC_STATES = 1024
 
 
@@ -140,25 +142,83 @@ def _check_and_renormalise(rho: np.ndarray, where: str) -> np.ndarray:
     return rho / tr
 
 
+class _Components:
+    """A sparse generator split into the weakly connected components of its
+    sparsity pattern; it acts on each of them as a block of its own."""
+
+    def __init__(self, m: sparse.spmatrix) -> None:
+        self.m = sparse.csr_matrix(m)
+        _, self.label = connected_components(self.m != 0, connection="weak")
+        self.order = np.argsort(self.label, kind="stable")
+        self.sizes = np.bincount(self.label)
+
+    def _blocks(self, comps: np.ndarray, dense_max: float):
+        """For each size s among ``comps``: their members (g, s) and blocks,
+        stacked dense (g, s, s) up to ``dense_max`` and one sparse slice above."""
+        starts, sizes = np.cumsum(self.sizes) - self.sizes, self.sizes[comps]
+        for s in np.unique(sizes):
+            idx = self.order[starts[comps[sizes == s], np.newaxis] + np.arange(s)]
+            sub = self.m[idx.ravel()][:, idx.ravel()]
+            if s <= dense_max:
+                coo, sub = sub.tocoo(), np.zeros((len(idx), s, s), dtype=sub.dtype)
+                np.add.at(sub, (coo.row // s, coo.row % s, coo.col % s), coo.data)
+            yield idx, sub
+
+    def propagate(self, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """``expm(M t) v0`` at each time (rows) from t = 0, stepped from sample to
+        sample on the components ``v0`` touches: batched dense propagators up to
+        ``DENSE_KINETIC_STATES`` states, formed again only when the step changes
+        by more than the rounding of the sample times, ``expm_multiply`` above."""
+        times = np.asarray(times, dtype=float)
+        steps = np.diff(times, prepend=0.0)
+        if not (np.isfinite(times).all() and np.all(steps >= 0)):
+            raise ValueError("times must be finite, non-negative and non-decreasing")
+        out = np.zeros((len(times), len(v0)), dtype=np.result_type(self.m.dtype, v0))
+        for idx, block in self._blocks(np.unique(self.label[v0 != 0]), DENSE_KINETIC_STATES):
+            v, h = v0[idx], None
+            for k, (t, dt) in enumerate(zip(times, steps)):
+                if dt > 0.0 and sparse.issparse(block):
+                    v = expm_multiply(block * dt, v.ravel()).reshape(idx.shape)
+                elif dt > 0.0:
+                    if h is None or abs(dt - h) > 4.0 * np.spacing(t):
+                        h, prop = dt, expm(block * dt)
+                    v = np.einsum("gij,gj->gi", prop, v)
+                out[k, idx] = v
+        return out
+
+    def null_space(self, rcond: float) -> list:
+        """Orthonormal null vectors, each on one component.  Singular values
+        up to ``rcond`` times the largest of the whole matrix count as zero,
+        as in a dense solve."""
+        blocks = self._blocks(np.arange(len(self.sizes)), np.inf)
+        svds = [(idx, *np.linalg.svd(block)[1:]) for idx, block in blocks]
+        tol = rcond * max(sv.max() for _, sv, _ in svds)
+        out = []
+        for idx, sv, vh in svds:
+            for comp, row in zip(*np.nonzero(sv <= tol)):
+                out.append(np.zeros(len(self.label), dtype=vh.dtype))
+                out[-1][idx[comp]] = vh[comp, row].conj()
+        return out
+
+
 def evolve(gen: Generator, rho0: np.ndarray, times: Sequence[float]) -> Trajectory:
     """Propagate ``rho0`` under the generator, sampling at ``times``.
 
     The state is rotated into the energy eigenbasis and stepped from sample
-    to sample by ``expm_multiply`` on the sparse superoperator, so the grid
-    may be non-uniform.  Each sample is rotated back, Hermitised and
-    renormalised; a trace drift beyond ``TRACE_DRIFT_BOUND`` raises
-    ``RuntimeError``.
+    to sample on each connected component of the sparse superoperator that
+    it touches (see :data:`DENSE_KINETIC_STATES`), so the grid may be
+    non-uniform and an evenly spaced grid costs one exponential per block
+    size.  Each sample is rotated back, Hermitised and renormalised; a trace
+    drift beyond ``TRACE_DRIFT_BOUND`` raises ``RuntimeError``.
     """
     rho0 = validate_density_matrix(rho0)
     t = _normalise_times(times)
     v = gen.spec.basis
-    states = [rho0]
-    for k in range(1, len(t)):
-        vec = expm_multiply(
-            gen.superoperator * (t[k] - t[k - 1]), vectorize(dag(v) @ states[-1] @ v)
-        )
-        rho = v @ unvectorize(vec, gen.dim) @ dag(v)
-        states.append(_check_and_renormalise(rho, f"t={t[k]}"))
+    vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), t)
+    states = [rho0] + [
+        _check_and_renormalise(v @ unvectorize(x, gen.dim) @ dag(v), f"t={tk}")
+        for tk, x in zip(t[1:], vecs[1:])
+    ]
     return Trajectory(times=t, states=tuple(states))
 
 
@@ -178,27 +238,25 @@ class StationaryResult:
 
 
 def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult:
-    """Stationary state(s) of the generator via a dense null-space solve.
+    """Stationary state(s) of the generator from its null space.
 
-    The null space is taken in the energy eigenbasis and its operator basis
-    rotated back to the lab basis.  It is the null space of the generator
-    as assembled, which has no free-Hamiltonian term ``-i[H, rho]``, so a
-    coherence that no channel and no shift touches counts as stationary
-    although it rotates under H.  For example H = diag(0, 1, 2.5), one
-    coupling between levels 0 and 1 only, and beta = inf give nullity 4,
-    including |0><2| and |2><0|, for which ||[H, X]|| = 2.5.
+    The null space is taken block by block in the energy eigenbasis, with
+    ``rank_tol`` relative to the largest singular value of the whole
+    superoperator, and its operator basis rotated back to the lab basis.
+    It is the null space of the generator as assembled, which has no
+    free-Hamiltonian term ``-i[H, rho]``, so a coherence that no channel and
+    no shift touches counts as stationary although it rotates under H.  For
+    example H = diag(0, 1, 2.5), one coupling between levels 0 and 1 only,
+    and beta = inf give nullity 4, including |0><2| and |2><0|, for which
+    ||[H, X]|| = 2.5.
     """
-    dense = gen.superoperator.toarray()
-    ns = null_space(dense, rcond=rank_tol)
-    if ns.shape[1] == 0:
-        # numerically empty null space: relax once before giving up
-        ns = null_space(dense, rcond=1e-7)
-    if ns.shape[1] == 0:
+    blocks = _Components(gen.superoperator)
+    # numerically empty null space: relax once before giving up
+    ns = blocks.null_space(rank_tol) or blocks.null_space(1e-7)
+    if not ns:
         raise RuntimeError("no stationary state found (empty numerical null space)")
     v = gen.spec.basis
-    ops = tuple(
-        v @ unvectorize(ns[:, k], gen.dim) @ dag(v) for k in range(ns.shape[1])
-    )
+    ops = tuple(v @ unvectorize(x, gen.dim) @ dag(v) for x in ns)
     if len(ops) > 1:
         return StationaryResult(ergodic=False, state=None, basis=ops)
     rho = ops[0]
@@ -251,42 +309,21 @@ class ClassicalKineticSystem:
     def evolve(self, p0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """Distribution trajectory, shape (len(times), size).
 
-        Steps from sample to sample, starting at t = 0; the times must be
-        finite, non-negative and non-decreasing (else ``ValueError``).  Up to
-        ``DENSE_KINETIC_STATES`` states each step applies the dense
-        propagator ``expm(K dt)``, formed again only when the step changes
-        by more than the rounding of the sample times, so an evenly spaced
-        grid costs one ``expm`` at any horizon.  Larger matrices step with
+        Steps from sample to sample, starting at t = 0, on the connected
+        components of K that ``p0`` touches; the times must be finite,
+        non-negative and non-decreasing (else ``ValueError``).  A component
+        of up to ``DENSE_KINETIC_STATES`` states costs one ``expm`` per
+        distinct step at any horizon; a larger one steps with
         ``expm_multiply``, which needs about ``|K|_1 dt`` sparse products.
         """
-        times = np.asarray(times, dtype=float)
-        steps = np.diff(times, prepend=0.0)
-        if not (np.isfinite(times).all() and np.all(steps >= 0)):
-            raise ValueError("times must be finite, non-negative and non-decreasing")
-        k = self.as_csc()
-        dense = self.size <= DENSE_KINETIC_STATES
-        if dense:
-            k = k.toarray()
-        p = np.asarray(p0, dtype=float)
-        out, h, prop = [], None, None
-        for t, dt in zip(times, steps):
-            if not dense:
-                p = expm_multiply(k * dt, p)
-            elif dt > 0.0:
-                if h is None or abs(dt - h) > 4.0 * np.spacing(t):
-                    h, prop = dt, expm(k * dt)
-                p = prop @ p
-            out.append(p)
-        return np.asarray(out)
+        return _Components(self.as_csc()).propagate(np.asarray(p0, dtype=float), times)
 
     def stationary(self) -> np.ndarray:
-        """Normalised stationary distribution (dense null-space solve)."""
-        ns = null_space(self.as_csc().toarray(), rcond=1e-10)
-        if ns.shape[1] != 1:
-            raise RuntimeError(
-                f"kinetic stationary distribution not unique (dim {ns.shape[1]})"
-            )
-        p = ns[:, 0]
+        """Normalised stationary distribution (null space per component)."""
+        ns = _Components(self.as_csc()).null_space(1e-10)
+        if len(ns) != 1:
+            raise RuntimeError(f"kinetic stationary distribution not unique (dim {len(ns)})")
+        p = ns[0]
         if p.sum() < 0:
             p = -p
         if p.min() < -1e-10:

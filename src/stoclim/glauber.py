@@ -80,10 +80,6 @@ __all__ = [
 MAX_CLASSICAL_SITES = 20
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_EYE2 = np.eye(2)
-# projector onto spin s at one site, and the half-flip |-s><s|
-_PROJ = {1: np.array([[1.0, 0.0], [0.0, 0.0]]), -1: np.array([[0.0, 0.0], [0.0, 1.0]])}
-_HALF_FLIP = {1: np.array([[0.0, 0.0], [1.0, 0.0]]), -1: np.array([[0.0, 1.0], [0.0, 0.0]])}
 
 
 @dataclass
@@ -192,18 +188,17 @@ def configuration_index(sigma: Sequence[int]) -> int:
 
 
 def configuration_energy(cs: SpinChainSpec, sigma: Sequence[int]) -> float:
-    """Ising energy -sum_bonds J * e_a * e_b of one configuration."""
+    """Ising energy -sum_bonds J * e_a * e_b; stacked ``sigma[..., site]`` give an array."""
     s = np.asarray(sigma, dtype=float)
-    return -sum(j * s[a] * s[b] for (a, b), j in zip(cs.bond_sites(), cs.coupling))
+    e = np.zeros(s.shape[:-1])
+    for (a, b), j in zip(cs.bond_sites(), cs.coupling):
+        e -= j * s[..., a] * s[..., b]
+    return e if e.ndim else float(e)
 
 
 def configuration_energies(cs: SpinChainSpec) -> np.ndarray:
     """Energies of all configurations, basis order."""
-    s = spin_configurations(cs.n_sites).astype(float)
-    e = np.zeros(len(s))
-    for (a, b), j in zip(cs.bond_sites(), cs.coupling):
-        e -= j * s[:, a] * s[:, b]
-    return e
+    return configuration_energy(cs, spin_configurations(cs.n_sites))
 
 
 def configuration_magnetizations(cs: SpinChainSpec) -> np.ndarray:
@@ -332,8 +327,10 @@ def classical_glauber_generator(
     negative or non-finite rate raises ``BathDomainError``.  Each distinct
     (site, released energy), computed as in :func:`energy_release`, is
     rated once; the rates form one CSC matrix with columns summing to zero
-    (``dp/dt = K p``), dense up to ``DENSE_KINETIC_STATES`` (2^10)
-    configurations and sparse beyond.
+    (``dp/dt = K p``), handed out dense up to ``DENSE_KINETIC_STATES``
+    (2^10) configurations and sparse beyond.  Energy-neutral flips have zero
+    rate, so K can split into disconnected components (9 on the 12-ring,
+    the all-up one with 1,848 states); the solvers treat each on its own.
     """
     _check_form_factors(cs, bath)
     n = cs.n_sites
@@ -364,11 +361,10 @@ def classical_glauber_generator(
 def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:
     """Frequency component of the site-r flip, assembled locally.
 
-    Sums, over the neighbour spins and the spin of site r itself that
-    make the flip drop the energy by ``omega``, the product of neighbour
-    projectors with the half-flip at r; identity everywhere else, so the
-    operator is supported on sites {r-1, r, r+1}.  Agrees with the
-    general spectral route applied to the sigma^x coupling.
+    Flips site r in every configuration whose :func:`energy_release` at r
+    is ``omega`` (within a tolerance relative to the couplings), so the
+    operator is supported on sites {r-1, r, r+1}.  Agrees with the general
+    spectral route applied to the sigma^x coupling.
     """
     d = cs.dim
     if d > MAX_DIMENSION:
@@ -377,27 +373,10 @@ def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:
     n = cs.n_sites
     scale = max([1.0] + [abs(j) for j in cs.coupling])
     tol = 1e-9 * max(scale, abs(omega))
-    lb, rb = cs.left_bond(r), cs.right_bond(r)
+    released = energy_release(cs, spin_configurations(n), r)
+    configs = np.flatnonzero(np.abs(released - omega) <= tol)
     out = np.zeros((d, d))
-    for s_left in ((1, -1) if lb is not None else (None,)):
-        for s_right in ((1, -1) if rb is not None else (None,)):
-            released = 0.0
-            if lb is not None:
-                released += lb[1] * s_left
-            if rb is not None:
-                released += rb[1] * s_right
-            for s_centre in (1, -1):
-                if abs(-2.0 * s_centre * released - omega) > tol:
-                    continue
-                site_ops = {r: _HALF_FLIP[s_centre]}
-                if lb is not None:
-                    site_ops[lb[0]] = site_ops.get(lb[0], _EYE2) @ _PROJ[s_left]
-                if rb is not None:
-                    site_ops[rb[0]] = site_ops.get(rb[0], _EYE2) @ _PROJ[s_right]
-                term = np.ones((1, 1))
-                for site in range(n):
-                    term = np.kron(term, site_ops.get(site, _EYE2))
-                out += term
+    out[configs ^ (1 << (n - 1 - r)), configs] = 1.0
     return out
 
 

@@ -412,3 +412,50 @@ def test_ising_hamiltonian_is_the_energy_diagonal():
         h, _ = ising_system(cs)
         assert h.dtype == np.float64
         assert np.array_equal(h, np.diag(configuration_energies(cs)))
+
+
+def reference_local_e_omega(cs, r, omega):
+    """Site by site: neighbour projectors times the half-flip at r, summed
+    over the neighbour and centre spins that release ``omega``."""
+    proj = {1: np.diag([1.0, 0.0]), -1: np.diag([0.0, 1.0])}
+    # the half-flip |-s><s| of the centre spin s
+    half_flip = {
+        1: np.array([[0.0, 0.0], [1.0, 0.0]]),
+        -1: np.array([[0.0, 1.0], [0.0, 0.0]]),
+    }
+    tol = 1e-9 * max(max([1.0] + [abs(j) for j in cs.coupling]), abs(omega))
+    lb, rb = cs.left_bond(r), cs.right_bond(r)
+    out = np.zeros((cs.dim, cs.dim))
+    for s_left in (1, -1) if lb else (None,):
+        for s_right in (1, -1) if rb else (None,):
+            released = 0.0
+            for bond, s in ((lb, s_left), (rb, s_right)):
+                if bond:
+                    released += bond[1] * s
+            for s_centre in (1, -1):
+                if abs(-2.0 * s_centre * released - omega) > tol:
+                    continue
+                ops = {r: half_flip[s_centre]}
+                for bond, s in ((lb, s_left), (rb, s_right)):
+                    if bond:
+                        ops[bond[0]] = ops.get(bond[0], np.eye(2)) @ proj[s]
+                term = np.ones((1, 1))
+                for site in range(cs.n_sites):
+                    term = np.kron(term, ops.get(site, np.eye(2)))
+                out += term
+    return out
+
+
+def test_local_e_omega_matches_site_by_site_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        for boundary in ("open", "periodic"):
+            n_bonds = SpinChainSpec(n_sites=n, boundary=boundary).n_bonds
+            for coupling in (1.0, tuple(rng.uniform(-1.5, 1.5, n_bonds))):
+                cs = SpinChainSpec(n_sites=n, coupling=coupling, boundary=boundary)
+                spins = spin_configurations(n)
+                for r in range(n):
+                    for w in {0.0, 2.0, *energy_release(cs, spins, r).tolist()}:
+                        assert np.array_equal(
+                            local_e_omega(cs, r, w), reference_local_e_omega(cs, r, w)
+                        ), (cs, r, w)

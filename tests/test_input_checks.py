@@ -10,7 +10,9 @@ from stoclim import (
     BathDomainError,
     BathSpec,
     bohr_frequencies,
+    build_generator,
     correlation_table,
+    evolve,
     spectral_decompose,
 )
 from stoclim import cli
@@ -99,3 +101,34 @@ def test_rates_with_tabulated_form_factor_and_shifts(tmp_path, capsys):
         want = -pv_reference(lambda x: numerator(x, spont), 1.0, 50.0)
         got = doc[branch][k][0][0][1]
         assert got == pytest.approx(want, rel=1e-6), branch
+
+
+@pytest.mark.parametrize(
+    "times", [[0.0, math.nan], [math.nan], [0.0, 1.0, math.inf], [math.inf]]
+)
+def test_evolve_rejects_nonfinite_times(times):
+    spec = spectral_decompose(np.diag([0.0, 1.0]).astype(complex))
+    bohr = bohr_frequencies(spec)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    gen = build_generator(spec, [sx], correlation_table(BathSpec(beta=1.0), bohr, 1), bohr)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(gen, np.diag([0.5, 0.5]).astype(complex), times)
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_cli_nonfinite_t_max_exits_2(capsys, mode, t_max):
+    code = cli.main(
+        ["glauber", "--sites", "2", "--beta", "1", "--mode", mode, "--t-max", t_max]
+    )
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "need a finite t_max" in out.err
+
+
+def test_cli_evolve_nonfinite_t_max_exits_2(tmp_path, capsys):
+    code = cli.main(["evolve", "--config", two_level_config(tmp_path), "--t-max", "nan"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "need a finite t_max" in out.err

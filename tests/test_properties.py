@@ -23,6 +23,8 @@ from stoclim import (  # noqa: E402
     principal_value_integral,
     spectral_decompose,
 )
+from scipy.sparse.csgraph import connected_components  # noqa: E402
+
 from stoclim.generator import NonGenericError, apply_adjoint  # noqa: E402
 from stoclim.operators import dag  # noqa: E402
 
@@ -94,6 +96,24 @@ def test_generator_invariants(system):
     y_n = y / np.linalg.norm(y)
     z_n = z / np.linalg.norm(z)
     assert leibniz_defect(StructureMapSet(gen), y_n, z_n) <= 1e-10
+
+
+@given(systems())
+def test_components_lie_in_one_bohr_sector(system):
+    # covariance: L commutes with the free evolution, so no entry of the
+    # eigenbasis superoperator joins coherences of different Bohr frequency
+    h, couplings, bath, _, _ = system
+    spec = spectral_decompose(h)
+    bohr = bohr_frequencies(spec)
+    table = correlation_table(bath, bohr, len(couplings))
+    lsup = build_generator(spec, couplings, table, bohr).superoperator
+    n_comp, label = connected_components(lsup != 0, connection="weak")
+    # vectorize stacks columns: entry (a, b) sits at a + d * b
+    energy = spec.energies[spec.level_of_column]
+    freq = np.subtract.outer(energy, energy).reshape(-1)
+    for c in range(n_comp):
+        in_comp = freq[label == c]
+        assert in_comp.max() - in_comp.min() <= bohr.match_tol, c
 
 
 @given(
