@@ -258,6 +258,15 @@ def _times(args, cfg: RunConfig | None) -> np.ndarray:
     t_max = args.t_max if args.t_max is not None else run.get("t_max", 10.0)
     points = args.points if args.points is not None else run.get("points", 100)
     t_max = float(t_max)
+    # an integral number (20 or 20.0); NaN, infinities, fractions, strings
+    # and booleans are rejected rather than converted or truncated
+    if not (
+        isinstance(points, (int, float))
+        and not isinstance(points, bool)
+        and math.isfinite(points)
+        and points == int(points)
+    ):
+        raise ConfigError(f"points: expected an integer, got {points!r}")
     points = int(points)
     if not (math.isfinite(t_max) and t_max > 0) or points < 2:
         raise ConfigError("need a finite t_max > 0 and at least 2 points")

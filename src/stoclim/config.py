@@ -61,10 +61,15 @@ class TabulatedProfile:
     values: np.ndarray
 
     def __call__(self, x: float) -> complex:
-        re = float(np.interp(x, self.rho, self.values.real))
+        """Interpolated value: a float (a complex if any value is) for a scalar
+        ``x``, an array of the shape of ``x`` for an array."""
+        value = np.interp(x, self.rho, self.values.real)
         if np.any(self.values.imag):
-            return complex(re, float(np.interp(x, self.rho, self.values.imag)))
-        return re
+            value = np.array(value, dtype=complex)
+            value.imag = np.interp(x, self.rho, self.values.imag)
+        if np.ndim(x):
+            return value
+        return complex(value) if np.iscomplexobj(value) else float(value)
 
 
 @dataclass(eq=False)

@@ -132,3 +132,30 @@ def test_cli_evolve_nonfinite_t_max_exits_2(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 2
     assert "need a finite t_max" in out.err
+
+
+def config_with_points(tmp_path, points):
+    doc = json.loads(open(two_level_config(tmp_path)).read())
+    doc["run"] = {"t_max": 1.0, "points": points}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "points", [math.nan, math.inf, -math.inf, 2.7, "20", [20], True, None]
+)
+def test_cli_rejects_bad_point_counts(tmp_path, capsys, points):
+    code = cli.main(["evolve", "--config", config_with_points(tmp_path, points)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "points" in out.err and "expected an integer" in out.err
+
+
+@pytest.mark.parametrize("points", [20, 20.0])
+def test_cli_accepts_integral_point_counts(tmp_path, capsys, points):
+    code = cli.main(["evolve", "--config", config_with_points(tmp_path, points)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert len(out.out.strip().splitlines()) == 1 + 20

@@ -1,0 +1,165 @@
+"""The graded principal-value rule: user callables, singular densities,
+divergences, tabulated profiles on arrays, and a 30-digit reference."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import stoclim
+from stoclim import BathDomainError, BathSpec, TabulatedProfile, pv_lamb_shift
+
+
+def scalar_only_bath():
+    # math.exp and math.expm1 reject arrays: the rule maps them over the nodes
+    return BathSpec(
+        beta=1.0,
+        kernel="quadrature",
+        uv_cutoff=30.0,
+        lamb_shift=True,
+        form_factors=[lambda r: math.exp(-r / 10.0)],
+        mode_density=lambda r: 1.0 / math.expm1(r),
+    )
+
+
+# values of the adaptive-quadrature implementation this rule replaced
+@pytest.mark.parametrize(
+    "omega, branch, want",
+    [
+        (0.4, "minus", -73.9428396155228),
+        (0.4, "plus", -2.6060545829479906),
+        (2.0, "minus", -50.98627028458011),
+        (2.0, "plus", 9.915243691836093),
+        (11.0, "minus", 26.847886793590785),
+        (11.0, "plus", 1.6475535238680319),
+    ],
+)
+def test_scalar_only_callables(omega, branch, want):
+    got = pv_lamb_shift(scalar_only_bath(), omega, branch=branch)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_constant_callables_return_scalars():
+    # ``lambda r: 1.0`` returns a scalar for an array argument
+    bath = BathSpec(
+        beta=1.0,
+        kernel="quadrature",
+        uv_cutoff=30.0,
+        lamb_shift=True,
+        form_factors=[lambda r: 1.0],
+        mode_density=lambda r: 0.25,
+    )
+    flat = BathSpec(
+        beta=1.0,
+        kernel="quadrature",
+        uv_cutoff=30.0,
+        lamb_shift=True,
+        mode_density=lambda r: 0.25 + 0.0 * r,
+    )
+    for branch in ("minus", "plus"):
+        got = pv_lamb_shift(bath, 2.0, branch=branch)
+        assert got == pytest.approx(pv_lamb_shift(flat, 2.0, branch=branch), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "branch, want", [("minus", -673.6462967514948), ("plus", 3.5782901970085277)]
+)
+def test_integrable_singular_density(branch, want):
+    # 4*pi*rho * rho**-1.5 is rho**-1/2 at the origin: integrable
+    bath = BathSpec(
+        beta=1.0, kernel="quadrature", uv_cutoff=50.0, lamb_shift=True,
+        mode_density=lambda r: r**-1.5,
+    )
+    assert pv_lamb_shift(bath, 1.0, branch=branch) == pytest.approx(want, rel=1e-10)
+
+
+def test_divergent_integrals_raise():
+    thermal = BathSpec(beta=1.0, kernel="quadrature", uv_cutoff=50.0, lamb_shift=True)
+    with pytest.raises(BathDomainError, match="frequency 0.0"):
+        pv_lamb_shift(thermal, 0.0)
+    inverse_square = BathSpec(
+        beta=1.0, kernel="quadrature", uv_cutoff=50.0, lamb_shift=True,
+        mode_density=lambda r: 1.0 / r**2,
+    )
+    for branch in ("minus", "plus"):
+        with pytest.raises(BathDomainError, match="divergent or not finite"):
+            pv_lamb_shift(inverse_square, 1.0, branch=branch)
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_tabulated_profile_on_arrays(complex_values):
+    values = np.array([2.0, 1.0, 2.0, 0.5])
+    if complex_values:
+        values = values + 1j * np.array([0.0, -0.3, 0.7, 0.1])
+    profile = TabulatedProfile(np.array([0.0, 1.0, 2.0, 3.5]), values)
+    x = np.array([[-1.0, 0.0, 0.25, 1.0], [1.7, 2.0, 3.5, 9.0]])
+    got = profile(x)
+    assert got.shape == x.shape
+    want = np.array([[profile(v) for v in row] for row in x.tolist()])
+    assert np.array_equal(got, want)
+    scalar = profile(0.25)
+    assert type(scalar) is (complex if complex_values else float)
+
+
+def test_rates_with_shifts_leaves_quadrature_unloaded(tmp_path):
+    doc = {
+        "hamiltonian": [[0.0, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 1.9]],
+        "couplings": [[[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+        "bath": {"beta": 1.0, "kernel": "quadrature", "uv_cutoff": 20.0, "lamb_shift": True},
+    }
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(stoclim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; from stoclim import cli; "
+        f"code = cli.main(['rates', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'r.csv')!r}]); "
+        "print(code, 'scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.split() == ["0", "False"]
+    # a header and the seven Bohr frequencies of three generic levels
+    assert (tmp_path / "r.csv").read_text().count("\n") == 8
+
+
+def test_thermal_shifts_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    beta, cutoff = 1.0, 50.0
+    bath = BathSpec(beta=beta, kernel="quadrature", uv_cutoff=cutoff, lamb_shift=True)
+    omegas = [0.01, 0.7, 3.0, 17.0, 45.0]
+    for branch, spont in (("minus", 1), ("plus", 0)):
+
+        def f(x):
+            # j(rho) * W(rho), with its finite limit at rho = 0
+            if x == 0:
+                return 4 * mp.pi / beta
+            return 4 * mp.pi * x * (1 / mp.expm1(beta * x) + spont)
+
+        want = []
+        with mp.workdps(30):
+            for omega in omegas:
+                # 30-digit pole subtraction: P int f/(x-c) = int (f-f(c))/(x-c) + f(c) log
+                c = mp.mpf(omega)
+                fc = f(c)
+                q = lambda x: (f(x) - fc) / (x - c) if x != c else 0
+                want.append(-(mp.quad(q, [0, c, cutoff]) + fc * mp.log((cutoff - c) / c)))
+        scale = max(abs(w) for w in want)
+        for omega, w in zip(omegas, want):
+            err = abs(pv_lamb_shift(bath, omega, branch=branch) - float(w)) / float(scale)
+            assert err <= 1e-12, (branch, omega, err)
+
+
+def test_nonfinite_density_is_a_named_error():
+    # NaN cells never pass the check; the refinement cap names the interval
+    bath = BathSpec(
+        beta=1.0, kernel="quadrature", uv_cutoff=20.0, lamb_shift=True,
+        mode_density=lambda r: np.where(r > 5.0, np.nan, 0.5),
+    )
+    with pytest.raises(BathDomainError, match=r"frequency 1.0: integrand divergent or not finite"):
+        pv_lamb_shift(bath, 1.0)
