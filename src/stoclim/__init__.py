@@ -6,158 +6,21 @@ damping and shift constants, Lindblad-form generators with their classical
 kinetic restrictions, and Ising spin-chain flip dynamics.
 """
 
-from .bath import (
-    BathConfigurationError,
-    BathDomainError,
-    BathSpec,
-    CorrelationTable,
-    absorption_rate,
-    correlation_table,
-    emission_rate,
-    filtered_density,
-    high_temperature_limit,
-    principal_value_integral,
-    pv_lamb_shift,
-)
-from .config import ConfigError, RunConfig, TabulatedProfile, load_config, parse_config
-from .evolution import (
-    ClassicalKineticSystem,
-    StationaryResult,
-    Trajectory,
-    decay_fit,
-    detailed_balance_residual,
-    diagonal_restriction,
-    evolve,
-    gibbs_distribution,
-    gibbs_state,
-    stationary_state,
-    trace_distance,
-    validate_density_matrix,
-)
-from .generator import (
-    DissipationChannel,
-    Generator,
-    GenericityReport,
-    NonGenericError,
-    StructureMapSet,
-    apply_heisenberg,
-    apply_schroedinger,
-    build_drift,
-    build_generator,
-    genericity_check,
-    leibniz_defect,
-    offdiag_rate,
-    unvectorize,
-    vectorize,
-)
-from .glauber import (
-    ScalingResult,
-    SpinChainSpec,
-    blocked_configuration,
-    classical_glauber_generator,
-    configuration_energies,
-    configuration_energy,
-    configuration_index,
-    configuration_magnetizations,
-    energy_release,
-    flip_frequency,
-    frozen_sites,
-    ising_system,
-    local_e_omega,
-    n_scaling_experiment,
-    pair_decay_coefficient,
-    quantum_glauber_generator,
-    spin_configurations,
-    ti_flip_rates,
-    ti_offdiagonal_rate,
-    ti_rate_constant,
-    total_flip_rate,
-)
-from .operators import (
-    BohrSet,
-    SpectralData,
-    bohr_frequencies,
-    commutant_membership,
-    dag,
-    e_omega,
-    matrix_unit,
-    spectral_decompose,
-    validate_hermitian,
-)
+# each star import also binds its submodule's name here, which __all__ reads
+from .bath import *
+from .config import *
+from .evolution import *
+from .generator import *
+from .glauber import *
+from .operators import *
 
 __all__ = [
-    "BathConfigurationError",
-    "BathDomainError",
-    "BathSpec",
-    "CorrelationTable",
-    "absorption_rate",
-    "correlation_table",
-    "emission_rate",
-    "filtered_density",
-    "high_temperature_limit",
-    "principal_value_integral",
-    "pv_lamb_shift",
-    "ConfigError",
-    "RunConfig",
-    "TabulatedProfile",
-    "load_config",
-    "parse_config",
-    "ClassicalKineticSystem",
-    "StationaryResult",
-    "Trajectory",
-    "decay_fit",
-    "detailed_balance_residual",
-    "diagonal_restriction",
-    "evolve",
-    "gibbs_distribution",
-    "gibbs_state",
-    "stationary_state",
-    "trace_distance",
-    "validate_density_matrix",
-    "DissipationChannel",
-    "Generator",
-    "GenericityReport",
-    "NonGenericError",
-    "StructureMapSet",
-    "apply_heisenberg",
-    "apply_schroedinger",
-    "build_drift",
-    "build_generator",
-    "genericity_check",
-    "leibniz_defect",
-    "offdiag_rate",
-    "unvectorize",
-    "vectorize",
-    "ScalingResult",
-    "SpinChainSpec",
-    "blocked_configuration",
-    "classical_glauber_generator",
-    "configuration_energies",
-    "configuration_energy",
-    "configuration_index",
-    "configuration_magnetizations",
-    "energy_release",
-    "flip_frequency",
-    "frozen_sites",
-    "ising_system",
-    "local_e_omega",
-    "n_scaling_experiment",
-    "pair_decay_coefficient",
-    "quantum_glauber_generator",
-    "spin_configurations",
-    "ti_flip_rates",
-    "ti_offdiagonal_rate",
-    "ti_rate_constant",
-    "total_flip_rate",
-    "BohrSet",
-    "SpectralData",
-    "bohr_frequencies",
-    "commutant_membership",
-    "dag",
-    "e_omega",
-    "matrix_unit",
-    "spectral_decompose",
-    "validate_hermitian",
+    *bath.__all__,
+    *config.__all__,
+    *evolution.__all__,
+    *generator.__all__,
+    *glauber.__all__,
+    *operators.__all__,
 ]
 
 __version__ = "0.1.0"

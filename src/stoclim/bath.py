@@ -260,12 +260,10 @@ def correlation_table(bath: BathSpec, bohr: BohrSet, n_couplings: int = 1) -> Co
     for w in bohr.frequencies:
         m, p = np.zeros((2, n_couplings, n_couplings), dtype=complex)
         if _shell_open(bath, w):
-            shell = math.pi * bath.dos_factor(w)
-            for i in range(n_couplings):
-                for j in range(n_couplings):
-                    gg = np.conj(bath.form_factor(i, w)) * bath.form_factor(j, w)
-                    m[i, j] = shell * gg * _emission_weight(bath, w)
-                    p[i, j] = shell * gg * filtered_density(bath, w)
+            g = np.array([bath.form_factor(i, w) for i in range(n_couplings)])
+            shell = math.pi * bath.dos_factor(w) * np.outer(g.conj(), g)
+            m[:] = shell * _emission_weight(bath, w)
+            p[:] = shell * filtered_density(bath, w)
         if bath.lamb_shift and _shell_open(bath, w):
             for c, branch in ((m, "minus"), (p, "plus")):
                 for i, j in combinations_with_replacement(range(n_couplings), 2):

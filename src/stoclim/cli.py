@@ -385,6 +385,13 @@ def _suite_detailed_balance(cfg: RunConfig | None, args) -> tuple[bool, dict]:
             raise ConfigError(
                 f"--corrupt-rate wants 'from,to,factor', got {args.corrupt_rate!r}"
             ) from exc
+        if not (0 <= a < len(k) and 0 <= b < len(k) and a != b):
+            raise ConfigError(
+                f"--corrupt-rate: from and to must be distinct states in [0, {len(k)}), "
+                f"got {a} and {b}"
+            )
+        if not (math.isfinite(factor) and factor >= 0.0):
+            raise ConfigError(f"--corrupt-rate: factor must be finite and >= 0, got {factor!r}")
         k[b, a] *= factor
         k[np.diag_indices(len(k))] = 0.0
         k[np.diag_indices(len(k))] = -k.sum(axis=0)

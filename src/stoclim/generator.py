@@ -18,17 +18,20 @@ constants carry the conjugate form-factor product; with complex form
 factors only this pairing keeps the Gibbs state stationary.  It is written
 once, in :func:`_pair_sum`, which every coupling-pair sum goes through.
 
-The drift ``G = i H_shift + (1/2) sum_w (K_minus + K_plus)``, with ``K_minus``
-and ``K_plus`` the channels' emission and absorption sums of ``A^dag A`` and
-``A A^dag``, is the object the shift (anti-Hermitian part), the damping
-(Hermitian part), the superoperator's effective Hamiltonian ``-iG`` and the
-closed-form off-diagonal decay rates of non-degenerate systems are read
-from.  The superoperator is stored once, as a sparse matrix in the energy
-eigenbasis; the dense matrix and the actions in both pictures are views of
-it.  The first-order structure maps (commutators with the frequency
-components) reproduce, through their rate-weighted products, the deviation
-of ``L`` from being a derivation: the product-rule identity that pins down
-the pairing.
+The drift ``G = i H_shift + (1/2) sum_w (K_minus + K_plus)``, with
+``K_minus`` and ``K_plus`` the channels' emission and absorption sums of
+``A^dag A`` and ``A A^dag``, gives the superoperator's effective Hamiltonian
+``-iG`` and the closed-form off-diagonal decay rates of non-degenerate
+systems.
+
+Everything is held in the energy eigenbasis ``V``.  Each coupling is rotated
+once, ``C_j = V^dag D_j V``, and each ``A_j`` is ``C_j`` masked by
+:func:`~stoclim.operators.frequency_mask`.  Lab-basis operators are
+rotations ``V X V^dag`` of this data; the dense matrix and the actions in
+both pictures are views of the sparse eigenbasis superoperator.  The
+first-order structure maps (commutators with the frequency components)
+reproduce, through their rate-weighted products, the deviation of ``L`` from
+being a derivation: the product-rule identity that pins down the pairing.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .operators import (
     SpectralData,
     bohr_frequencies,
     dag,
-    e_omega,
+    frequency_mask,
     validate_hermitian,
 )
 
@@ -110,21 +113,31 @@ class DissipationChannel:
     """One positive-frequency dissipation channel."""
 
     omega: float
-    lowering: tuple  # E_w(D_j) per coupling, lab basis
+    components: np.ndarray  # (n, d, d): E_w(D_j) per coupling, eigenbasis
     gamma_minus: np.ndarray  # (n, n) Hermitian PSD: emission rates
     gamma_plus: np.ndarray  # (n, n) Hermitian PSD: absorption rates
+    basis: np.ndarray  # V: an eigenbasis X is V X V^dag in the lab basis
 
     @cached_property
+    def _damping(self) -> tuple:
+        # (k_minus, k_plus) in the eigenbasis
+        c, c_dag = self.components, _stack_dag(self.components)
+        return _pair_sum(self.gamma_minus, c_dag, c), _pair_sum(self.gamma_plus.T, c, c_dag)
+
+    @cached_property
+    def lowering(self) -> tuple:
+        """``E_w(D_j)`` per coupling, lab basis."""
+        return tuple(self.basis @ self.components @ dag(self.basis))
+
+    @property
     def k_minus(self) -> np.ndarray:
-        """``sum_ij gamma_minus[i,j] A_i^dag A_j`` (PSD)."""
-        a = np.asarray(self.lowering)
-        return _pair_sum(self.gamma_minus, _stack_dag(a), a)
+        """``sum_ij gamma_minus[i,j] A_i^dag A_j`` (PSD, lab basis)."""
+        return self.basis @ self._damping[0] @ dag(self.basis)
 
-    @cached_property
+    @property
     def k_plus(self) -> np.ndarray:
-        """``sum_ij gamma_plus[i,j] A_j A_i^dag`` (PSD)."""
-        a = np.asarray(self.lowering)
-        return _pair_sum(self.gamma_plus.T, a, _stack_dag(a))
+        """``sum_ij gamma_plus[i,j] A_j A_i^dag`` (PSD, lab basis)."""
+        return self.basis @ self._damping[1] @ dag(self.basis)
 
 
 @dataclass(eq=False)
@@ -141,47 +154,39 @@ class Generator:
 
     spec: SpectralData
     channels: tuple
-    h_shift: np.ndarray
+    shift: np.ndarray  # shift Hamiltonian, eigenbasis
 
     @property
     def dim(self) -> int:
         return self.spec.dim
 
     @cached_property
+    def h_shift(self) -> np.ndarray:
+        """Hermitian shift Hamiltonian (lab basis)."""
+        return self.spec.basis @ self.shift @ dag(self.spec.basis)
+
+    @cached_property
     def superoperator(self) -> sparse.csr_matrix:
         """Schroedinger-picture generator in the energy eigenbasis (CSR).
 
-        Acts on ``vectorize(V^dag rho V)`` with ``V = spec.basis``.  There a
-        frequency-w lowering operator lives on the level pairs whose energy
-        difference is w, and the shift Hamiltonian and the anticommutator
-        terms, which commute with the free Hamiltonian, on the
-        level-diagonal blocks; entries outside these blocks are rounding and
-        are dropped.  The non-jump part is ``-i H_eff rho + i rho H_eff^dag``
-        with ``H_eff = -i G`` for the drift ``G``.
+        Acts on ``vectorize(V^dag rho V)`` with ``V = spec.basis``, the
+        basis the channels and the drift are held in.  The non-jump part is
+        ``-i H_eff rho + i rho H_eff^dag`` with ``H_eff = -i G`` for the
+        drift ``G``.
         """
         d = self.dim
-        v = self.spec.basis
-        col_energy = self.spec.energies[self.spec.level_of_column]
-        # gap[a, b] = E_b - E_a, the frequency carried by |a><b|
-        gap = col_energy[np.newaxis, :] - col_energy[:, np.newaxis]
-        tol = self.spec.match_tol
         rows, cols, vals = [], [], []
         for ch in self.channels:
-            tgt, src = np.nonzero(np.abs(gap - ch.omega) <= tol)
-            low = np.array([(dag(v) @ a @ v)[tgt, src] for a in ch.lowering])
             # level pairs no coupling connects (exact zeros, e.g. in a
             # permutation eigenbasis) carry no entries
-            keep = np.any(low != 0.0, axis=0)
-            tgt, src, low = tgt[keep], src[keep], low[:, keep]
+            tgt, src = np.nonzero(np.any(ch.components != 0.0, axis=0))
+            low = ch.components[:, tgt, src]
             # emission A_j rho A_i^dag and absorption A_i^dag rho A_j
             rows += [_vec_index(tgt, tgt, d), _vec_index(src, src, d)]
             cols += [_vec_index(src, src, d), _vec_index(tgt, tgt, d)]
-            vals += [
-                low.T @ ch.gamma_minus.T @ low.conj(),
-                low.conj().T @ ch.gamma_plus @ low,
-            ]
-        h_eff = dag(v) @ (-1j * self._drift) @ v
-        m, p = np.nonzero((np.abs(gap) <= tol) & (h_eff != 0.0))
+            vals += [low.T @ ch.gamma_minus.T @ low.conj(), low.conj().T @ ch.gamma_plus @ low]
+        h_eff = -1j * self._eigen_drift
+        m, p = np.nonzero(h_eff != 0.0)
         h = h_eff[m, p][:, np.newaxis]
         n = np.arange(d)
         rows += [_vec_index(m, n, d), _vec_index(n, m, d).T]
@@ -193,9 +198,13 @@ class Generator:
         return out
 
     @cached_property
+    def _eigen_drift(self) -> np.ndarray:
+        """``G = i shift + (1/2) sum_w (k_minus + k_plus)`` (eigenbasis)."""
+        return 1j * self.shift + 0.5 * sum(sum(ch._damping) for ch in self.channels)
+
+    @cached_property
     def _drift(self) -> np.ndarray:
-        """``G = i h_shift + (1/2) sum_w (k_minus + k_plus)`` (lab basis)."""
-        return 1j * self.h_shift + 0.5 * sum(ch.k_minus + ch.k_plus for ch in self.channels)
+        return self.spec.basis @ self._eigen_drift @ dag(self.spec.basis)
 
     @cached_property
     def dense_adjoint(self) -> np.ndarray:
@@ -207,12 +216,9 @@ class Generator:
 
     def norm_scale(self) -> float:
         """Rough magnitude of the generator (largest rate plus shift)."""
-        scale = float(np.linalg.norm(self.h_shift))
+        scale = float(np.linalg.norm(self.shift))
         for ch in self.channels:
-            scale += float(
-                np.abs(ch.gamma_minus).max(initial=0.0)
-                + np.abs(ch.gamma_plus).max(initial=0.0)
-            )
+            scale += float(np.abs(ch.gamma_minus).max() + np.abs(ch.gamma_plus).max())
         return max(scale, 1.0)
 
 
@@ -225,24 +231,20 @@ def build_generator(
     """Assemble the generator from spectral data, couplings and rate table."""
     if bohr is None:
         bohr = bohr_frequencies(spec)
-    couplings = [validate_hermitian(d) for d in couplings]
-    d = spec.dim
+    v = spec.basis
+    rotated = dag(v) @ np.array([validate_hermitian(d) for d in couplings]) @ v
     channels = []
-    h_shift = np.zeros((d, d), dtype=complex)
+    shift = np.zeros((spec.dim, spec.dim), dtype=complex)
     for w in bohr.frequencies:
-        comps = tuple(e_omega(dop, w, spec, bohr) for dop in couplings)
-        m = table.minus[table.index_of(w)]
-        p = table.plus[table.index_of(w)]
+        k = table.index_of(w)
+        m, p = table.minus[k], table.plus[k]
         # Hermitian part of the constants -> rates, anti-Hermitian -> shifts;
         # for real form factors these reduce to 2*Re and Im entrywise.
-        sh_m = (m - dag(m)) / 2j
-        sh_p = (p - dag(p)) / 2j
-        if np.any(sh_m != 0.0) or np.any(sh_p != 0.0):
-            a = np.asarray(comps)
-            h_shift += _pair_sum(sh_m, _stack_dag(a), a) - _pair_sum(sh_p.T, a, _stack_dag(a))
+        sh_m, sh_p = (m - dag(m)) / 2j, (p - dag(p)) / 2j
+        has_shift = np.any(sh_m != 0.0) or np.any(sh_p != 0.0)
+        has_rate = False
         if w > bohr.match_tol:
-            gm = m + dag(m)
-            gp = p + dag(p)
+            gm, gp = m + dag(m), p + dag(p)
             for name, c, rates in (("gamma_minus", m, gm), ("gamma_plus", p, gp)):
                 # eigvalsh does not propagate NaN, so test finiteness first
                 finite = np.isfinite(rates).all()
@@ -254,24 +256,22 @@ def build_generator(
                         f"{name} at omega={float(w)!r} has eigenvalue {lo:.6g}; "
                         "a generator with negative rates is not completely positive"
                     )
-            # frequencies whose components all vanish (no level pair realises
-            # the transition through any coupling) contribute nothing
-            if (np.any(gm != 0.0) or np.any(gp != 0.0)) and any(
-                np.any(c) for c in comps
-            ):
-                channels.append(
-                    DissipationChannel(
-                        omega=float(w),
-                        lowering=comps,
-                        gamma_minus=gm,
-                        gamma_plus=gp,
-                    )
-                )
-    herm_err = np.linalg.norm(h_shift - dag(h_shift))
-    if herm_err > 1e-10 * max(1.0, np.linalg.norm(h_shift)):
+            has_rate = np.any(gm != 0.0) or np.any(gp != 0.0)
+        if not (has_shift or has_rate):
+            continue
+        comps = rotated * frequency_mask(spec, w)
+        if has_shift:
+            c_dag = _stack_dag(comps)
+            shift += _pair_sum(sh_m, c_dag, comps) - _pair_sum(sh_p.T, comps, c_dag)
+        # frequencies whose components all vanish (no level pair realises
+        # the transition through any coupling) contribute nothing
+        if has_rate and np.any(comps):
+            channels.append(DissipationChannel(float(w), comps, gm, gp, v))
+    herm_err = np.linalg.norm(shift - dag(shift))
+    if herm_err > 1e-10 * max(1.0, np.linalg.norm(shift)):
         raise ValueError(f"shift Hamiltonian not Hermitian (deviation {herm_err:.3e})")
-    h_shift = 0.5 * (h_shift + dag(h_shift))
-    return Generator(spec=spec, channels=tuple(channels), h_shift=h_shift)
+    shift = 0.5 * (shift + dag(shift))
+    return Generator(spec=spec, channels=tuple(channels), shift=shift)
 
 
 def build_drift(
@@ -371,8 +371,7 @@ def offdiag_rate(gen: Generator, mu: int, nu: int) -> complex:
         )
     if mu == nu:
         raise ValueError("off-diagonal rate needs two distinct level indices")
-    v = gen.spec.basis
-    g = np.diag(dag(v) @ gen._drift @ v)
+    g = np.diag(gen._eigen_drift)
     return complex(-(g[mu] + np.conj(g[nu])))
 
 
@@ -410,9 +409,7 @@ def leibniz_defect(maps: StructureMapSet, x: np.ndarray, y: np.ndarray) -> float
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     gen = maps.generator
-    lhs = (
-        maps.theta0(x @ y) - maps.theta0(x) @ y - x @ maps.theta0(y)
-    )
+    lhs = maps.theta0(x @ y) - maps.theta0(x) @ y - x @ maps.theta0(y)
     corr = np.zeros_like(lhs)
 
     def stack(theta, z, ch):

@@ -491,6 +491,8 @@ def n_scaling_experiment(
     sizes = tuple(int(n) for n in sizes)
     if any(n < 2 for n in sizes):
         raise ValueError("ring sizes below 2 have no all-up/all-down pair")
+    if len(set(sizes)) < 2:
+        raise ValueError(f"a line fit needs at least two distinct ring sizes, got {sizes}")
 
     def one(n: int) -> float:
         cs = SpinChainSpec(n_sites=n, coupling=j_coupling, boundary="periodic")

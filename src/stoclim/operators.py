@@ -2,13 +2,15 @@
 
 Everything downstream (reservoir kernels, dissipative generators, kinetic
 restrictions) is organised around the transition frequencies of the system
-Hamiltonian.  This module provides the three primitives that encode that
+Hamiltonian.  This module provides the primitives that encode that
 structure:
 
 * :func:`spectral_decompose` -- eigenlevels and orthogonal projectors, with
   near-degenerate eigenvalues clustered into a single level;
 * :func:`bohr_frequencies` -- the set of level differences, closed under
   negation and containing 0;
+* :func:`frequency_mask` -- the energy-eigenbasis matrix elements that a
+  frequency component keeps, the one rule every component is formed by;
 * :func:`e_omega` -- the frequency component ``E_w(X)`` of an operator,
   i.e. the part of ``X`` that oscillates as ``exp(-i w t)`` under the free
   Heisenberg evolution.
@@ -31,6 +33,7 @@ __all__ = [
     "validate_hermitian",
     "spectral_decompose",
     "bohr_frequencies",
+    "frequency_mask",
     "e_omega",
     "commutant_membership",
     "dag",
@@ -114,11 +117,6 @@ class SpectralData:
     def multiplicity(self, level: int) -> int:
         return int(np.sum(self.level_of_column == level))
 
-    def level_index(self, energy: float) -> int | None:
-        """Index of the level matching ``energy`` within cluster_tol, else None."""
-        hits = np.nonzero(np.abs(self.energies - energy) <= self.match_tol)[0]
-        return int(hits[0]) if hits.size else None
-
     @property
     def match_tol(self) -> float:
         # Frequency/energy matching uses a slightly looser tolerance than the
@@ -196,9 +194,6 @@ class BohrSet:
         hits = np.nonzero(np.abs(self.frequencies - omega) <= self.match_tol)[0]
         return int(hits[0]) if hits.size else None
 
-    def positive(self) -> np.ndarray:
-        return self.frequencies[self.frequencies > self.match_tol]
-
 
 def _cluster_starts(xs: np.ndarray, tol: float) -> list[int]:
     """Positions in sorted ``xs`` where a new frequency cluster begins.
@@ -243,6 +238,13 @@ def bohr_frequencies(spec: SpectralData) -> BohrSet:
     return BohrSet(frequencies=freqs, pairs=tuple(pairs), match_tol=tol)
 
 
+def frequency_mask(spec: SpectralData, omega: float) -> np.ndarray:
+    """Eigenbasis entries ``[a, b]`` with ``|E_b - E_a - omega| <= match_tol``."""
+    col_energy = spec.energies[spec.level_of_column]
+    gap = col_energy[np.newaxis, :] - col_energy[:, np.newaxis]
+    return np.abs(gap - omega) <= spec.match_tol
+
+
 def e_omega(
     x: np.ndarray,
     omega: float,
@@ -252,21 +254,21 @@ def e_omega(
     """Frequency component of ``x`` at transition frequency ``omega``.
 
     ``E_w(X) = sum_{E - w in spectrum} P[E - w] X P[E]``; rotates as
-    ``exp(-i w t)`` under the free evolution.  Frequencies not in the
-    transition set (within the matching tolerance) give the zero operator.
+    ``exp(-i w t)`` under the free evolution.  Formed in the eigenbasis ``V``
+    as ``V ((V^dag X V) * frequency_mask(spec, w)) V^dag``.  Frequencies not
+    in the transition set (within the matching tolerance) give the zero
+    operator.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (spec.dim, spec.dim):
         raise ValueError(f"operator shape {x.shape} does not match dim {spec.dim}")
     if bohr is None:
         bohr = bohr_frequencies(spec)
-    out = np.zeros_like(x)
     k = bohr.index_of(omega)
     if k is None:
-        return out
-    for tgt, src in bohr.pairs[k]:
-        out += spec.projectors[tgt] @ x @ spec.projectors[src]
-    return out
+        return np.zeros_like(x)
+    v = spec.basis
+    return v @ ((dag(v) @ x @ v) * frequency_mask(spec, bohr.frequencies[k])) @ dag(v)
 
 
 def commutant_membership(

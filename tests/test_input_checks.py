@@ -13,6 +13,7 @@ from stoclim import (
     build_generator,
     correlation_table,
     evolve,
+    n_scaling_experiment,
     spectral_decompose,
 )
 from stoclim import cli
@@ -159,3 +160,38 @@ def test_cli_accepts_integral_point_counts(tmp_path, capsys, points):
     out = capsys.readouterr()
     assert code == 0
     assert len(out.out.strip().splitlines()) == 1 + 20
+
+
+@pytest.mark.parametrize(
+    "fault", ["100,0,2", "0,16,2", "-1,0,2", "0,-3,2", "3,3,2", "0,1,-1", "0,1,nan", "0,1,inf"]
+)
+def test_cli_rejects_bad_corrupt_rate(capsys, fault):
+    # the default detailed-balance system is the 4-ring: 16 configurations
+    code = cli.main(["check", "--suite", "detailed-balance", f"--corrupt-rate={fault}"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "--corrupt-rate" in out.err
+
+
+@pytest.mark.parametrize("fault, injected", [("15,14,0", [15, 14, 0.0]), ("0,1,2.5", [0, 1, 2.5])])
+def test_cli_injects_valid_corrupt_rate(capsys, fault, injected):
+    code = cli.main(["check", "--suite", "detailed-balance", "--corrupt-rate", fault])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["passed"] is False
+    assert doc["injected_fault"] == injected
+
+
+@pytest.mark.parametrize("sizes", [[3], [3, 3]])
+def test_scaling_fit_needs_two_distinct_sizes(sizes):
+    with pytest.raises(ValueError, match="two distinct ring sizes"):
+        n_scaling_experiment(sizes, BathSpec(beta=1.0))
+
+
+def test_cli_scaling_with_one_size_exits_2(capsys):
+    code = cli.main(["check", "--suite", "scaling", "--sizes", "3,3"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "two distinct ring sizes" in out.err
