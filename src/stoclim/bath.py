@@ -13,8 +13,14 @@ Both real parts vanish for ``w <= 0``: only channels that can deposit a
 positive frequency into the reservoir are damped.  The imaginary parts are
 principal-value integrals over the reservoir density and produce pure level
 shifts; they can be non-zero even at frequencies whose damping rate is zero
-(a shift without decay).  Shift evaluation is off by default and requires the
-quadrature kernel with an ultraviolet cutoff.
+(a shift without decay).  They are taken at ``0 < w < uv_cutoff`` only: at
+``w <= 0`` the table holds no shift either.  Shift evaluation is off by
+default and requires the quadrature kernel with an ultraviolet cutoff.
+
+The table is a stack over the whole frequency array: form factors, weights
+and delta shells are evaluated on all open-shell frequencies at once, and
+the shifts of one coupling pair and branch are one principal value over an
+array of poles.
 
 Every principal value takes one rule: cells graded geometrically (ratio 6,
 down to 1e-6 of the interval) towards its ends and both sides of each kink or
@@ -22,8 +28,11 @@ jump of the numerator (``rho`` nodes, ``filter_max``), the pole as an edge, and
 a 20-point Gauss-Legendre value with a 14-point check per cell.  Cells whose
 two values differ by more than their share of 1e-12 of the integral of
 |integrand| are bisected, for at most 100 rounds; an integral still unresolved
-is a :class:`BathDomainError`.  Form factors and a callable mode density get
-whole node arrays; one that does not accept arrays is mapped over them.
+is a :class:`BathDomainError`.  Poles share the graded cells, so the
+numerator is evaluated on them once for all poles, and only the cell a pole
+cuts in two, the pole itself and later bisections are evaluated per pole.
+Form factors and a callable mode density get whole node arrays; one that does
+not accept arrays is mapped over them.
 
 Conventions: hbar = k_B = 1, temperature enters as beta.  The mode-density
 factor ``j(w)`` is ``4*pi*w`` by default ("paper" normalisation, linear
@@ -34,7 +43,6 @@ dispersion in three dimensions with the solid angle absorbed), or
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -42,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import BohrSet
+from .operators import BohrSet, _first_within
 
 __all__ = [
     "BathConfigurationError",
@@ -142,7 +150,7 @@ class BathSpec:
             return 0.0 * rho
         x = self.beta * rho
         if np.ndim(x):
-            return 1.0 / np.expm1(np.minimum(x, 700.0))
+            return np.where(x > 700.0, 0.0, 1.0 / np.expm1(np.minimum(x, 700.0)))
         return 0.0 if x > 700.0 else 1.0 / math.expm1(x)
 
 
@@ -172,23 +180,33 @@ def _emission_weight(bath: BathSpec, rho: float) -> float:
 class CorrelationTable:
     """Reservoir constants per transition frequency.
 
-    ``minus[k]`` and ``plus[k]`` are complex (n, n) matrices over coupling
-    indices for ``frequencies[k]``: Hermitian parts are the half-rates of
+    ``minus`` and ``plus`` are complex (F, n, n) stacks over the F
+    ``frequencies``: ``minus[k]`` and ``plus[k]`` are matrices over coupling
+    indices for ``frequencies[k]``.  Hermitian parts are the half-rates of
     the emission/absorption channels, anti-Hermitian parts the level-shift
     constants.  (For real form factors these are just the entrywise real
-    and imaginary parts.)
+    and imaginary parts.)  Sequences of matrices are stacked on construction.
     """
 
     frequencies: np.ndarray
-    minus: tuple
-    plus: tuple
+    minus: np.ndarray
+    plus: np.ndarray
     match_tol: float
 
-    def index_of(self, omega: float) -> int:
-        hits = np.nonzero(np.abs(self.frequencies - omega) <= self.match_tol)[0]
-        if not hits.size:
-            raise BathDomainError(f"frequency {omega} is not in the tabulated transition set")
-        return int(hits[0])
+    def __post_init__(self) -> None:
+        self.frequencies = np.asarray(self.frequencies, dtype=float)
+        self.minus = np.asarray(self.minus, dtype=complex)
+        self.plus = np.asarray(self.plus, dtype=complex)
+
+    def index_of(self, omega):
+        """Position of the lowest tabulated frequency within ``match_tol`` of
+        ``omega``; elementwise on an array, whose first miss is named."""
+        order = np.argsort(self.frequencies, kind="stable")
+        hit = _first_within(self.frequencies[order], omega, self.match_tol)
+        if np.any(hit < 0):
+            miss = np.ravel(omega)[np.argmax(np.ravel(hit) < 0)]
+            raise BathDomainError(f"frequency {miss} is not in the tabulated transition set")
+        return order[hit] if np.ndim(hit) else int(order[hit])
 
     def minus_at(self, omega: float) -> np.ndarray:
         return self.minus[self.index_of(omega)]
@@ -218,8 +236,10 @@ class CorrelationTable:
 
 
 def _shell_open(bath: BathSpec, omega: float) -> bool:
-    # the delta shell at omega has weight only for 0 < omega < uv cutoff (if any)
-    return omega > 0 and (bath.uv_cutoff is None or omega < bath.uv_cutoff)
+    # the delta shell at omega has weight only for 0 < omega < uv cutoff (if
+    # any); elementwise on an array
+    cutoff = math.inf if bath.uv_cutoff is None else bath.uv_cutoff
+    return (omega > 0) & (omega < cutoff)
 
 
 def emission_rate(bath: BathSpec, omega: float, i: int = 0) -> float:
@@ -247,40 +267,43 @@ def absorption_rate(bath: BathSpec, omega: float, i: int = 0) -> float:
 def correlation_table(bath: BathSpec, bohr: BohrSet, n_couplings: int = 1) -> CorrelationTable:
     """Tabulate the reservoir constants on a transition-frequency set.
 
-    Hermitian parts follow the delta-shell closed form; with ``lamb_shift``
-    on, the anti-Hermitian parts are principal values, one per unordered
-    coupling pair: the shift of (j, i) is the conjugate of that of (i, j).  A
-    non-finite constant raises :class:`BathDomainError` naming the frequency
-    and the coupling pair.
+    Hermitian parts follow the delta-shell closed form, evaluated on the
+    whole array of open-shell frequencies (``0 < w < uv_cutoff``); with
+    ``lamb_shift`` on, the anti-Hermitian parts are principal values, one
+    :func:`pv_lamb_shift` over all open-shell frequencies per unordered
+    coupling pair and branch: the shift of (j, i) is the conjugate of that of
+    (i, j).  At ``w <= 0`` both constants are exactly 0, shifts included, so
+    such frequencies add nothing to the shift Hamiltonian.  A non-finite
+    constant raises :class:`BathDomainError` naming the lowest such
+    frequency and its coupling pair (emission branch first).
     """
     nf = bath.n_form_factors()
     if nf is not None and nf != n_couplings:
         raise BathConfigurationError(f"{n_couplings} couplings but {nf} form factors configured")
-    minus, plus = [], []
-    for w in bohr.frequencies:
-        m, p = np.zeros((2, n_couplings, n_couplings), dtype=complex)
-        if _shell_open(bath, w):
-            g = np.array([bath.form_factor(i, w) for i in range(n_couplings)])
-            shell = math.pi * bath.dos_factor(w) * np.outer(g.conj(), g)
-            m[:] = shell * _emission_weight(bath, w)
-            p[:] = shell * filtered_density(bath, w)
-        if bath.lamb_shift and _shell_open(bath, w):
-            for c, branch in ((m, "minus"), (p, "plus")):
-                for i, j in combinations_with_replacement(range(n_couplings), 2):
-                    s = pv_lamb_shift(bath, w, (i, j), branch=branch)
-                    c[i, j] += 1j * s
-                    if i != j:
-                        c[j, i] += 1j * np.conj(s)
-        for name, c in (("minus", m), ("plus", p)):
-            if not np.isfinite(c).all():
-                i, j = np.argwhere(~np.isfinite(c))[0]
-                raise BathDomainError(
-                    f"{name} constant of coupling pair ({i}, {j}) at omega={float(w)!r} "
-                    f"is {c[i, j]}: mode density and form factors must be finite"
-                )
-        minus.append(m)
-        plus.append(p)
-    return CorrelationTable(np.array(bohr.frequencies), tuple(minus), tuple(plus), bohr.match_tol)
+    freqs = np.array(bohr.frequencies, dtype=float)
+    is_open = _shell_open(bath, freqs)
+    w = freqs[is_open]
+    g = np.array([np.broadcast_to(bath.form_factor(i, w), w.shape) for i in range(n_couplings)]).T
+    shell = (math.pi * bath.dos_factor(w))[:, None, None] * (g.conj()[:, :, None] * g[:, None, :])
+    minus, plus = np.zeros((2, len(freqs), n_couplings, n_couplings), dtype=complex)
+    minus[is_open] = shell * _emission_weight(bath, w)[:, None, None]
+    plus[is_open] = shell * filtered_density(bath, w)[:, None, None]
+    if bath.lamb_shift and w.size:
+        for branch, c in (("minus", minus), ("plus", plus)):
+            for i, j in combinations_with_replacement(range(n_couplings), 2):
+                s = pv_lamb_shift(bath, w, (i, j), branch=branch)
+                c[is_open, i, j] += 1j * s
+                if i != j:
+                    c[is_open, j, i] += 1j * np.conj(s)
+    bad = ~np.isfinite(np.stack((minus, plus), axis=1))
+    if bad.any():
+        k, branch, i, j = np.argwhere(bad)[0]
+        c = (minus, plus)[branch][k, i, j]
+        raise BathDomainError(
+            f"{('minus', 'plus')[branch]} constant of coupling pair ({i}, {j}) at "
+            f"omega={float(freqs[k])!r} is {c}: mode density and form factors must be finite"
+        )
+    return CorrelationTable(freqs, minus, plus, bohr.match_tol)
 
 
 def high_temperature_limit(bath: BathSpec, omega: float) -> float:
@@ -311,9 +334,18 @@ def _elementwise(f: Callable, x):
     return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-# the rule of the module docstring; at most _MAX_CELLS cells are bisected at once
+# the rule of the module docstring; at most _MAX_CELLS cells of one pole are
+# bisected at once, and the poles are taken in chunks of about _CHUNK_NODES nodes
 _ORDERS, _GROWTH, _FINEST, _RTOL = (20, 14), 6.0, 1e-6, 1e-12
-_MAX_ROUNDS, _MAX_CELLS = 100, 1000
+_MAX_ROUNDS, _MAX_CELLS, _CHUNK_NODES = 100, 1000, 2**15
+
+
+class _PoleError(BathDomainError):
+    """A principal value that failed, with its pole."""
+
+    def __init__(self, message: str, pole: float) -> None:
+        super().__init__(message)
+        self.pole = pole
 
 
 @lru_cache(maxsize=32)
@@ -325,13 +357,89 @@ def _rule(a: float, b: float, nodes: tuple) -> tuple:
     graded = [a + s, b - s[:-1], *(x + sign * s for x in nodes for sign in (1, -1))]
     (x_hi, w_hi), (x_lo, w_lo) = (np.polynomial.legendre.leggauss(k) for k in _ORDERS)
     weights = 0.5 * np.array([np.append(w_hi, 0 * w_lo), np.append(0 * w_hi, w_lo)]).T
-    edges = np.unique(np.clip(np.concatenate(graded), a, b)).tolist()
+    edges = np.unique(np.clip(np.concatenate(graded), a, b))
     return edges, 0.5 + 0.5 * np.append(x_hi, x_lo), weights
 
 
+def _owner_sum(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    out = np.bincount(owner, values.real, n)
+    return out + 1j * np.bincount(owner, values.imag, n) if np.iscomplexobj(values) else out
+
+
+def _unresolved(pole: float, inside: bool, lo: np.ndarray, hi: np.ndarray) -> str:
+    if inside and np.all((lo == pole) | (hi == pole)):
+        return f"principal value diverges: f jumps at {pole}"
+    return f"integrand divergent or not finite on ({lo.min()}, {hi.max()})"
+
+
+def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, rule: tuple):
+    """The rule on ``f(x)/(x - pole)`` for each of ``poles`` at once.  Each
+    cell carries its pole's index (``owner``); a pole that fails is dropped,
+    and the first failed one raises :class:`_PoleError` once the rest are done."""
+    edges, t, weights = rule
+    n = len(poles)
+    inside = (a < poles) & (poles < b)
+
+    def sums(lo, hi, owner, y=None):
+        # (value, check) per cell; distances to the pole are offsets from a
+        # cell edge: the difference of a rounded node would divide its
+        # rounding by a small distance
+        step = (hi - lo)[..., None] * t
+        y = _elementwise(f, lo[..., None] + step) if y is None else y
+        d = (lo - poles[owner])[..., None] + step
+        quotient = (y - f_pole[owner][..., None]) / d
+        return np.moveaxis((hi - lo)[..., None] * np.dot(quotient, weights), -1, 0)
+
+    # every pole shares the rule's cells, so f is evaluated on them once; an
+    # inner pole that is not an edge cuts its cell into two cells of its own
+    lo, hi = edges[:-1], edges[1:]
+    step = (hi - lo)[:, None] * t
+    y = _elementwise(f, np.append(lo[:, None] + step, poles[inside]))
+    f_pole = np.zeros(n, dtype=y.dtype)
+    y, f_pole[inside] = np.split(y, [step.size])
+    k = np.searchsorted(edges, poles)
+    cut = np.flatnonzero(inside & (edges[np.minimum(k, len(edges) - 1)] != poles))
+    keep = np.ones((n, len(lo)), dtype=bool)
+    keep[cut, k[cut] - 1] = False
+    owner, cell = np.nonzero(keep)
+    own, own_lo, own_hi = np.tile(cut, 2), lo[k[cut] - 1], hi[k[cut] - 1]
+    own_lo, own_hi = np.append(own_lo, poles[cut]), np.append(poles[cut], own_hi)
+    shared = sums(lo, hi, np.arange(n)[:, None], y.reshape(step.shape))[:, keep]
+    value, check = np.append(shared, sums(own_lo, own_hi, own), axis=1)
+    lo, hi, owner = np.append(lo[cell], own_lo), np.append(hi[cell], own_hi), np.append(owner, own)
+    total = np.zeros(n, dtype=value.dtype)
+    total[inside] = f_pole[inside] * np.log((b - poles[inside]) / (poles[inside] - a))
+    tol = _owner_sum(owner, np.abs(value), n) + np.abs(total)
+    tol *= _RTOL / np.bincount(owner, minlength=n)
+    failed = {}
+    for rounds in range(_MAX_ROUNDS):
+        if rounds:
+            value, check = sums(lo, hi, owner)
+        bad = ~(np.abs(value - check) <= tol[owner])  # a NaN counts as unresolved
+        total += _owner_sum(owner[~bad], value[~bad], n)
+        lo, hi, owner = lo[bad], hi[bad], owner[bad]
+        # a pole with too many unresolved cells, or one within 1e4 ulps of its
+        # ends, is not bisected further
+        narrow = hi - lo < 2e-12 * np.maximum(-lo, hi)
+        stop = (np.bincount(owner, minlength=n) > _MAX_CELLS) | (np.bincount(owner, narrow, n) > 0)
+        for p in np.flatnonzero(stop):
+            failed[p] = _unresolved(poles[p], inside[p], lo[owner == p], hi[owner == p])
+        lo, hi, owner = lo[~stop[owner]], hi[~stop[owner]], owner[~stop[owner]]
+        if not lo.size:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.tile(owner, 2)
+    for p in np.unique(owner):
+        failed[p] = _unresolved(poles[p], inside[p], lo[owner == p], hi[owner == p])
+    if failed:
+        p = min(failed)
+        raise _PoleError(failed[p], poles[p])
+    return total
+
+
 def principal_value_integral(
-    f: Callable, a: float, b: float, pole: float, excision: float | None = None, nodes=()
-) -> float:
+    f: Callable, a: float, b: float, pole, excision: float | None = None, nodes=()
+):
     """Cauchy principal value of ``f(x)/(x - pole)`` over (a, b).
 
     For ``a < pole < b`` the pole is subtracted:
@@ -341,47 +449,27 @@ def principal_value_integral(
     edges.  A pole outside (a, b) leaves the same rule on ``f(x)/(x - pole)``;
     a jump of ``f`` at the pole diverges.  ``f`` is called on node arrays.
     ``excision`` is accepted and ignored.
+
+    ``pole`` may be an array, giving an array of the same shape: every pole
+    keeps its own cells, tolerance and bisection, but the poles share the
+    rule's cells, on which ``f`` is evaluated once per chunk of about 2**15
+    nodes.  The error of a failed integral is that of the first pole that
+    fails.
     """
-    edges, t, weights = _rule(a, b, tuple(sorted({x for x in nodes if a < x < b})))
-    pole = float(pole)
-    inside, k = a < pole < b, bisect_left(edges, pole)
-    edges = np.array(edges[:k] + [pole] + edges[k:] if inside and edges[k] != pole else edges)
-    lo, hi = edges[:-1], edges[1:]
-    total, tol, f_pole = 0.0, None, 0.0
-    for _ in range(_MAX_ROUNDS):
-        # distances to the pole are offsets from a cell edge: the difference of
-        # a rounded node would divide its rounding by a small distance
-        width = hi - lo
-        step = width[:, None] * t
-        x, d = lo[:, None] + step, (lo - pole)[:, None] + step
-        if tol is None and inside:
-            y = _elementwise(f, np.concatenate((x.ravel(), [pole])))
-            f_pole, y = y[-1], y[:-1].reshape(x.shape)
-        else:
-            y = _elementwise(f, x)
-        value, check = (width[:, None] * np.dot((y - f_pole) / d, weights)).T
-        err = np.abs(value - check)
-        if tol is None:
-            log = f_pole * math.log((b - pole) / (pole - a)) if inside else 0.0
-            tol = _RTOL * (np.abs(value).sum() + abs(log)) / lo.size
-            total += log
-        bad = ~(err <= tol)  # a NaN counts as unresolved
-        if not bad.any():
-            return total + value.sum()
-        total += value[~bad].sum()
-        lo, hi = lo[bad], hi[bad]
-        # a cell within 1e4 ulps of its ends is not bisected further
-        if lo.size > _MAX_CELLS or np.any(hi - lo < 2e-12 * np.maximum(-lo, hi)):
-            break
-        lo, hi = np.append(lo, 0.5 * (lo + hi)), np.append(0.5 * (lo + hi), hi)
-    if inside and np.all((lo == pole) | (hi == pole)):
-        raise BathDomainError(f"principal value diverges: f jumps at {pole}")
-    raise BathDomainError(f"integrand divergent or not finite on ({lo.min()}, {hi.max()})")
+    rule = _rule(a, b, tuple(sorted({x for x in nodes if a < x < b})))
+    poles = np.asarray(pole, dtype=float)
+    flat = poles.ravel()
+    per_chunk = max(1, _CHUNK_NODES // (len(rule[0]) * len(rule[1])))
+    chunks = (flat[k : k + per_chunk] for k in range(0, flat.size, per_chunk))
+    values = np.concatenate([np.zeros(0), *(_principal_values(f, a, b, c, rule) for c in chunks)])
+    if poles.ndim:
+        return values.reshape(poles.shape)
+    return complex(values[0]) if np.iscomplexobj(values) else float(values[0])
 
 
 def pv_lamb_shift(
-    bath: BathSpec, omega: float, pair: tuple[int, int] = (0, 0), branch: str = "minus"
-) -> complex:
+    bath: BathSpec, omega, pair: tuple[int, int] = (0, 0), branch: str = "minus"
+):
     """Level-shift constant of one reservoir branch.
 
     ``-P.V. integral_0^uv j(rho) conj(g_i(rho)) g_j(rho) W(rho) / (rho - omega)``
@@ -392,16 +480,21 @@ def pv_lamb_shift(
 
     Diagonal pairs give a plain float, cross pairs of complex form factors a
     complex constant: one :func:`principal_value_integral` whose nodes are the
-    ``rho`` nodes of tabulated profiles and ``filter_max``.  Frequencies at or
-    above the cutoff are a domain error, and so is a divergent integral: an
-    infrared divergence, or a numerator that jumps at ``omega``.
+    ``rho`` nodes of tabulated profiles and ``filter_max``.  An array
+    ``omega`` is one such integral over an array of poles and gives an
+    array.  Frequencies at or above the cutoff are a domain error, and so is
+    a divergent integral: an infrared divergence, or a numerator that jumps
+    at ``omega``.  The error names the first frequency concerned.
     """
     if bath.kernel != "quadrature":
         raise BathConfigurationError("level shifts require the quadrature kernel")
     if bath.uv_cutoff is None:
         raise BathConfigurationError("level shifts require a finite uv_cutoff")
-    if omega >= bath.uv_cutoff:
-        raise BathDomainError(f"frequency {omega} is not below the uv cutoff {bath.uv_cutoff}")
+    omegas = np.asarray(omega, dtype=float)
+    above = omegas.ravel() >= bath.uv_cutoff
+    if above.any():
+        w = omegas.ravel()[np.argmax(above)]
+        raise BathDomainError(f"frequency {w} is not below the uv cutoff {bath.uv_cutoff}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"unknown branch {branch!r}")
     i, j = pair
@@ -419,7 +512,10 @@ def pv_lamb_shift(
     nodes = [float(x) for f in profiles for x in getattr(f, "rho", ())]
     nodes += [] if bath.filter_max is None else [float(bath.filter_max)]
     try:
-        val = principal_value_integral(numerator, 0.0, bath.uv_cutoff, omega, nodes=nodes)
-    except BathDomainError as exc:
-        raise BathDomainError(f"shift integral at frequency {omega}: {exc}") from None
-    return -float(val.real) if i == j or bath.form_factors is None else -complex(val)
+        val = principal_value_integral(numerator, 0.0, bath.uv_cutoff, omegas, nodes=nodes)
+    except _PoleError as exc:
+        raise BathDomainError(f"shift integral at frequency {exc.pole}: {exc}") from None
+    real = i == j or bath.form_factors is None
+    if omegas.ndim:
+        return -val.real if real else -val
+    return -float(val.real) if real else -complex(val)

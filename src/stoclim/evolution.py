@@ -29,7 +29,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
-from .generator import Generator, vectorize, unvectorize
+from .generator import Generator, _blocks, vectorize, unvectorize
 from .operators import SpectralData, dag
 
 __all__ = [
@@ -338,18 +338,28 @@ def diagonal_restriction(
 
     The populations are taken along the eigenbasis of the spectral data (or
     any supplied orthonormal basis diagonalising the free Hamiltonian).  The
-    jump rate a -> b is ``<b| L(|a><a|) |b>``: the population block of the
-    superoperator, read through the rotation from the eigenbasis to the
-    requested basis.  The diagonal is minus the column sums.
+    jump rate a -> b is ``<b| L(|a><a|) |b>``: ``P^dag S P`` for the sparse
+    eigenbasis superoperator ``S`` and the sparse map ``P`` from populations
+    to vectorised projectors ``|r_a><r_a|``, with ``r`` the requested basis
+    in the eigenbasis.  The diagonal is minus the column sums.
     """
     d = gen.dim
     if basis is None:
         r = np.eye(d)
     else:
         r = dag(gen.spec.basis) @ np.asarray(basis, dtype=complex)
-    # column a: vectorize(|r_a><r_a|), the population projector a in the eigenbasis
-    pops = (r[:, np.newaxis, :] * r.conj()[np.newaxis, :, :]).reshape(d * d, d, order="F")
-    w = np.real(pops.conj().T @ (gen.superoperator @ pops))
+    # column a of P: vectorize(|r_a><r_a|), the population projector a in the
+    # eigenbasis, whose entries pair the non-zero entries x, y of column a of r
+    data, rows, cols = [], [], []
+    for pos, col, row in _blocks(r[np.newaxis], np.where(r != 0.0, np.arange(d), -1).ravel()):
+        x, a = np.divmod(pos, d)
+        data.append((col @ row.conj())[:, 0].ravel())
+        rows.append((x[:, :, np.newaxis] + d * x[:, np.newaxis, :]).ravel())
+        cols.append(np.repeat(a[:, 0], a.shape[1] ** 2))
+    pops = sparse.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d)
+    )
+    w = np.real((pops.conj().T @ gen.superoperator @ pops).toarray())
     np.fill_diagonal(w, 0.0)
     k = w.copy()
     k[np.diag_indices(d)] = -w.sum(axis=0)

@@ -1,6 +1,6 @@
 """Markovian generator of the reduced dynamics, in both pictures.
 
-The generator is assembled channel by channel: each positive transition
+The generator is a sum over channels: each positive transition
 frequency w carries lowering operators ``A_j = E_w(D_j)`` (one per system
 coupling ``D_j``), an emission rate matrix ``gamma_minus`` and an absorption
 rate matrix ``gamma_plus`` over coupling indices, plus a Hermitian shift
@@ -24,11 +24,20 @@ The drift ``G = i H_shift + (1/2) sum_w (K_minus + K_plus)``, with
 ``-iG`` and the closed-form off-diagonal decay rates of non-degenerate
 systems.
 
-Everything is held in the energy eigenbasis ``V``.  Each coupling is rotated
-once, ``C_j = V^dag D_j V``, and each ``A_j`` is ``C_j`` masked by
-:func:`~stoclim.operators.frequency_mask`.  Lab-basis operators are
-rotations ``V X V^dag`` of this data; the dense matrix and the actions in
-both pictures are views of the sparse eigenbasis superoperator.  The
+Everything is held in the energy eigenbasis ``V``, and assembled for all
+Bohr frequencies at once.  Each coupling is rotated once,
+``C_j = V^dag D_j V``; one (d, d) map,
+:func:`~stoclim.operators.frequency_index`, says which frequency each entry
+of ``C_j`` belongs to, so each ``A_j`` is ``C_j`` restricted to the entries
+of its frequency.  The reservoir constants are gathered as (F, n, n) stacks
+over the Bohr set and checked positive in one batched ``eigvalsh`` per
+branch.  The shift Hamiltonian, the drift's damping sums and the
+superoperator are pair sums over entries of one frequency: ``A_i^dag A_j``
+pairs entries in one row, ``A_j A_i^dag`` entries in one column, and a jump
+term any two entries.  Lab-basis operators are rotations ``V X V^dag`` of
+this data; :attr:`Generator.channels`, the dense matrix and the actions in
+both pictures are views of the stacks and of the sparse eigenbasis
+superoperator.  The
 first-order structure maps (commutators with the frequency components)
 reproduce, through their rate-weighted products, the deviation of ``L`` from
 being a derivation: the product-rule identity that pins down the pairing.
@@ -49,7 +58,7 @@ from .operators import (
     SpectralData,
     bohr_frequencies,
     dag,
-    frequency_mask,
+    frequency_index,
     validate_hermitian,
 )
 
@@ -91,21 +100,68 @@ def _vec_index(row: np.ndarray, col: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _pair_sum(rates: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``sum_ij rates[i,j] left[i] @ right[j]`` over (n, d, d) operator stacks.
+    """``sum_ij rates[..., i, j] left[..., i, :, :] @ right[..., j, :, :]``.
 
-    The channel index pairing is decided here.  With ``a`` the stacked
-    lowering operators of a channel and ``a_dag`` their adjoints, emission
-    terms are ``(gamma, a_dag, a)``, i.e. ``sum_ij gamma[i,j] A_i^dag A_j``,
-    and absorption terms are ``(gamma.T, a, a_dag)``, i.e.
-    ``sum_ij gamma[i,j] A_j A_i^dag``: the raising operator of coupling i
-    goes with the constant's first index on both branches.
+    ``left`` and ``right`` are operator stacks with the coupling index before
+    the two matrix axes, and leading axes broadcast.  An operator may be a
+    column or a row vector of matrix elements, whose products pair the
+    entries of a frequency block (:func:`_blocks`).  The channel index pairing is
+    decided here.  With ``a`` the stacked lowering operators of a channel and
+    ``a_dag`` their adjoints, emission terms are ``(gamma, a_dag, a)``, i.e.
+    ``sum_ij gamma[i,j] A_i^dag A_j``, and absorption terms are
+    ``(gamma.T, a, a_dag)``, i.e. ``sum_ij gamma[i,j] A_j A_i^dag``: the
+    raising operator of coupling i goes with the constant's first index on
+    both branches.
     """
-    # n BLAS matmuls, however many of the rates are zero
-    return np.matmul(left, np.tensordot(rates, right, 1)).sum(0)
+    # one product of [L_1 ... L_n] with the stacked sum_j rates[i,j] R_j
+    rated = np.einsum("...ij,...jbc->...ibc", rates, right)
+    n, a, b = left.shape[-3:]
+    lefts = np.moveaxis(left, -3, -2).reshape(*left.shape[:-3], a, n * b)
+    return lefts @ rated.reshape(*rated.shape[:-3], n * b, rated.shape[-1])
 
 
-def _stack_dag(ops: np.ndarray) -> np.ndarray:
-    return ops.conj().transpose(0, 2, 1)
+def _blocks(components: np.ndarray, key: np.ndarray):
+    """Entries of ``components`` (n, d, d) with equal ``key >= 0`` (over the
+    flat entries), one block size at a time: yields ``(pos, col, row)`` with
+    ``pos`` the (G, s) flat positions of G blocks of s entries and the
+    couplings' elements there as column (G, n, s, 1) and row (G, n, 1, s)
+    vectors, whose products pair the entries of a block."""
+    c = components.reshape(len(components), -1)
+    pos = np.flatnonzero(key >= 0)
+    pos = pos[np.argsort(key[pos], kind="stable")]
+    start = np.flatnonzero(np.diff(key[pos], prepend=-1))
+    size = np.diff(start, append=len(pos))
+    for s in np.unique(size):
+        idx = pos[start[size == s, np.newaxis] + np.arange(s)]
+        col = c[:, idx].transpose(1, 0, 2)[..., np.newaxis]
+        yield idx, col, col.swapaxes(-1, -2)
+
+
+def _t(stack: np.ndarray) -> np.ndarray:
+    return stack.swapaxes(-1, -2)
+
+
+def _damping_sums(components, group, minus, plus) -> tuple:
+    """``sum_k sum_ij minus[k,i,j] A_i^dag A_j`` and ``sum_k sum_ij plus[k,i,j]
+    A_j A_i^dag``, with ``A_i`` the coupling ``components[i]`` restricted to
+    the entries with ``group == k`` (-1: none).
+
+    ``A_i^dag A_j`` pairs the entries ``(c, a)`` and ``(c, b)`` of a group
+    that share a row, ``A_j A_i^dag`` the entries ``(a, c)`` and ``(b, c)``
+    that share a column; each pair adds to the product's ``[a, b]``.
+    """
+    d = components.shape[1]
+    tgt, src = np.indices((d, d)).reshape(2, -1)
+    out = np.zeros((2, d * d), dtype=complex)
+    for pos, col, row in _blocks(components, group.ravel()):
+        k = group.ravel()[pos[:, 0]]
+        x, y = pos[:, :, np.newaxis], pos[:, np.newaxis, :]
+        row_pair, col_pair = tgt[x] == tgt[y], src[x] == src[y]
+        emission = _pair_sum(minus[k], col.conj(), row)[row_pair]
+        absorption = _pair_sum(_t(plus[k]), col, row.conj())[col_pair]
+        np.add.at(out[0], (d * src[x] + src[y])[row_pair], emission)
+        np.add.at(out[1], (d * tgt[x] + tgt[y])[col_pair], absorption)
+    return tuple(out.reshape(2, d, d))
 
 
 @dataclass(eq=False)
@@ -121,7 +177,7 @@ class DissipationChannel:
     @cached_property
     def _damping(self) -> tuple:
         # (k_minus, k_plus) in the eigenbasis
-        c, c_dag = self.components, _stack_dag(self.components)
+        c, c_dag = self.components, _t(self.components).conj()
         return _pair_sum(self.gamma_minus, c_dag, c), _pair_sum(self.gamma_plus.T, c, c_dag)
 
     @cached_property
@@ -144,21 +200,38 @@ class DissipationChannel:
 class Generator:
     """Frequency-resolved Markovian generator.
 
-    Holds the spectral data of the free Hamiltonian, the dissipation
-    channels, and the Hermitian shift Hamiltonian.  The Schroedinger-picture
-    superoperator is assembled once, lazily, as a sparse matrix in the
-    energy eigenbasis (:attr:`superoperator`); the dense lab-basis matrix
-    and the actions in both pictures are views of it (column-stacking
-    convention throughout).
+    Holds the spectral data of the free Hamiltonian, the Hermitian shift
+    Hamiltonian and the dissipation channels as stacks: the rotated
+    couplings ``C_j``, the channel of every eigenbasis entry, and the
+    channels' frequencies and rate matrices.  The component of coupling j
+    on channel k is ``C_j`` masked by ``channel_of == k``; :attr:`channels`
+    are views of the stacks.  The Schroedinger-picture superoperator is
+    assembled once, lazily, as a sparse matrix in the energy eigenbasis
+    (:attr:`superoperator`); the dense lab-basis matrix and the actions in
+    both pictures are views of it (column-stacking convention throughout).
     """
 
     spec: SpectralData
-    channels: tuple
-    shift: np.ndarray  # shift Hamiltonian, eigenbasis
+    shift: np.ndarray  # (d, d): shift Hamiltonian, eigenbasis
+    components: np.ndarray  # (n, d, d): C_j = V^dag D_j V
+    channel_of: np.ndarray  # (d, d): channel of each eigenbasis entry, -1 for none
+    # (entries that every coupling leaves at zero belong to none)
+    omegas: np.ndarray  # (K,): channel frequencies
+    gamma_minus: np.ndarray  # (K, n, n) Hermitian PSD: emission rates
+    gamma_plus: np.ndarray  # (K, n, n) Hermitian PSD: absorption rates
 
     @property
     def dim(self) -> int:
         return self.spec.dim
+
+    @cached_property
+    def channels(self) -> tuple:
+        """One :class:`DissipationChannel` per channel, in frequency order."""
+        v, c = self.spec.basis, self.components
+        return tuple(
+            DissipationChannel(float(w), c * (self.channel_of == k), gm, gp, v)
+            for k, (w, gm, gp) in enumerate(zip(self.omegas, self.gamma_minus, self.gamma_plus))
+        )
 
     @cached_property
     def h_shift(self) -> np.ndarray:
@@ -175,16 +248,21 @@ class Generator:
         drift ``G``.
         """
         d = self.dim
+        tgt, src = np.indices((d, d)).reshape(2, -1)
         rows, cols, vals = [], [], []
-        for ch in self.channels:
-            # level pairs no coupling connects (exact zeros, e.g. in a
-            # permutation eigenbasis) carry no entries
-            tgt, src = np.nonzero(np.any(ch.components != 0.0, axis=0))
-            low = ch.components[:, tgt, src]
-            # emission A_j rho A_i^dag and absorption A_i^dag rho A_j
-            rows += [_vec_index(tgt, tgt, d), _vec_index(src, src, d)]
-            cols += [_vec_index(src, src, d), _vec_index(tgt, tgt, d)]
-            vals += [low.T @ ch.gamma_minus.T @ low.conj(), low.conj().T @ ch.gamma_plus @ low]
+        for pos, col, row in _blocks(self.components, self.channel_of.ravel()):
+            k = self.channel_of.ravel()[pos[:, 0]]
+            # emission A_j rho A_i^dag and absorption A_i^dag rho A_j of the
+            # entries x, y of a channel, which map |src_y><src_x| to
+            # |tgt_y><tgt_x| and back
+            x, y = pos[:, :, np.newaxis], pos[:, np.newaxis, :]
+            targets, sources = tgt[y] + d * tgt[x], src[y] + d * src[x]
+            rows += [targets, sources]
+            cols += [sources, targets]
+            vals += [
+                _pair_sum(self.gamma_minus[k], col.conj(), row),
+                _pair_sum(_t(self.gamma_plus[k]), col, row.conj()),
+            ]
         h_eff = -1j * self._eigen_drift
         m, p = np.nonzero(h_eff != 0.0)
         h = h_eff[m, p][:, np.newaxis]
@@ -200,7 +278,10 @@ class Generator:
     @cached_property
     def _eigen_drift(self) -> np.ndarray:
         """``G = i shift + (1/2) sum_w (k_minus + k_plus)`` (eigenbasis)."""
-        return 1j * self.shift + 0.5 * sum(sum(ch._damping) for ch in self.channels)
+        k_minus, k_plus = _damping_sums(
+            self.components, self.channel_of, self.gamma_minus, self.gamma_plus
+        )
+        return 1j * self.shift + 0.5 * (k_minus + k_plus)
 
     @cached_property
     def _drift(self) -> np.ndarray:
@@ -216,10 +297,8 @@ class Generator:
 
     def norm_scale(self) -> float:
         """Rough magnitude of the generator (largest rate plus shift)."""
-        scale = float(np.linalg.norm(self.shift))
-        for ch in self.channels:
-            scale += float(np.abs(ch.gamma_minus).max() + np.abs(ch.gamma_plus).max())
-        return max(scale, 1.0)
+        peaks = np.abs(np.concatenate((self.gamma_minus, self.gamma_plus))).max(axis=(1, 2))
+        return max(float(np.linalg.norm(self.shift) + peaks.sum()), 1.0)
 
 
 def build_generator(
@@ -228,50 +307,68 @@ def build_generator(
     table: CorrelationTable,
     bohr: BohrSet | None = None,
 ) -> Generator:
-    """Assemble the generator from spectral data, couplings and rate table."""
+    """Assemble the generator from spectral data, couplings and rate table.
+
+    Every Bohr frequency at once: the table constants are gathered for the
+    whole Bohr set, both rate stacks are checked positive semi-definite, and
+    :func:`~stoclim.operators.frequency_index` says which frequency each
+    eigenbasis entry of a coupling belongs to.  A negative or non-finite
+    rate matrix raises :class:`BathDomainError` naming the lowest such
+    frequency (emission first).  A channel is a frequency above
+    ``match_tol`` with a non-zero rate and a non-vanishing component.
+    """
     if bohr is None:
         bohr = bohr_frequencies(spec)
     v = spec.basis
     rotated = dag(v) @ np.array([validate_hermitian(d) for d in couplings]) @ v
-    channels = []
-    shift = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for w in bohr.frequencies:
-        k = table.index_of(w)
-        m, p = table.minus[k], table.plus[k]
-        # Hermitian part of the constants -> rates, anti-Hermitian -> shifts;
-        # for real form factors these reduce to 2*Re and Im entrywise.
-        sh_m, sh_p = (m - dag(m)) / 2j, (p - dag(p)) / 2j
-        has_shift = np.any(sh_m != 0.0) or np.any(sh_p != 0.0)
-        has_rate = False
-        if w > bohr.match_tol:
-            gm, gp = m + dag(m), p + dag(p)
-            for name, c, rates in (("gamma_minus", m, gm), ("gamma_plus", p, gp)):
-                # eigvalsh does not propagate NaN, so test finiteness first
-                finite = np.isfinite(rates).all()
-                lo = float(np.linalg.eigvalsh(rates).min()) if finite else np.nan
-                # c + c^dag rounds at the scale of the whole constant, shift
-                # included, so the floor is relative to the constants
-                if not lo >= -1e-12 * np.abs(c).max():
-                    raise BathDomainError(
-                        f"{name} at omega={float(w)!r} has eigenvalue {lo:.6g}; "
-                        "a generator with negative rates is not completely positive"
-                    )
-            has_rate = np.any(gm != 0.0) or np.any(gp != 0.0)
-        if not (has_shift or has_rate):
-            continue
-        comps = rotated * frequency_mask(spec, w)
-        if has_shift:
-            c_dag = _stack_dag(comps)
-            shift += _pair_sum(sh_m, c_dag, comps) - _pair_sum(sh_p.T, comps, c_dag)
-        # frequencies whose components all vanish (no level pair realises
-        # the transition through any coupling) contribute nothing
-        if has_rate and np.any(comps):
-            channels.append(DissipationChannel(float(w), comps, gm, gp, v))
+    freqs = bohr.frequencies
+    k = table.index_of(freqs)
+    m, p = table.minus[k], table.plus[k]
+    # Hermitian part of the constants -> rates, anti-Hermitian -> shifts;
+    # for real form factors these reduce to 2*Re and Im entrywise.
+    sh_m, sh_p = (m - _t(m).conj()) / 2j, (p - _t(p).conj()) / 2j
+    gm, gp = m + _t(m).conj(), p + _t(p).conj()
+    rated = freqs > bohr.match_tol
+    low = np.full((len(freqs), 2), np.nan)
+    floor = np.empty((len(freqs), 2))
+    for b, (c, rates) in enumerate(((m, gm), (p, gp))):
+        # eigvalsh does not propagate NaN, so test finiteness first
+        finite = rated & np.isfinite(rates).all(axis=(1, 2))
+        low[finite, b] = np.linalg.eigvalsh(rates[finite]).min(axis=1)
+        # c + c^dag rounds at the scale of the whole constant, shift
+        # included, so the floor is relative to the constants
+        floor[:, b] = -1e-12 * np.abs(c).max(axis=(1, 2))
+    bad = rated[:, None] & ~(low >= floor)
+    if bad.any():
+        f, b = np.argwhere(bad)[0]
+        raise BathDomainError(
+            f"{('gamma_minus', 'gamma_plus')[b]} at omega={float(freqs[f])!r} has eigenvalue "
+            f"{low[f, b]:.6g}; a generator with negative rates is not completely positive"
+        )
+    has_shift = np.any(sh_m != 0.0, axis=(1, 2)) | np.any(sh_p != 0.0, axis=(1, 2))
+    has_rate = rated & (np.any(gm != 0.0, axis=(1, 2)) | np.any(gp != 0.0, axis=(1, 2)))
+    # level pairs no coupling connects (exact zeros, e.g. in a permutation
+    # eigenbasis) belong to no frequency: they add nothing
+    index = np.where(np.any(rotated != 0.0, axis=0), frequency_index(spec, bohr), -1)
+    s_m, s_p = _damping_sums(rotated, np.where(has_shift[index], index, -1), sh_m, sh_p)
+    shift = s_m - s_p
+    # frequencies whose components all vanish carry no channel
+    realised = np.bincount(index[index >= 0], minlength=len(freqs)) > 0
+    chans = np.flatnonzero(has_rate & realised)
+    number = np.full(len(freqs), -1)
+    number[chans] = np.arange(len(chans))
     herm_err = np.linalg.norm(shift - dag(shift))
     if herm_err > 1e-10 * max(1.0, np.linalg.norm(shift)):
         raise ValueError(f"shift Hamiltonian not Hermitian (deviation {herm_err:.3e})")
-    shift = 0.5 * (shift + dag(shift))
-    return Generator(spec=spec, channels=tuple(channels), shift=shift)
+    return Generator(
+        spec=spec,
+        shift=0.5 * (shift + dag(shift)),
+        components=rotated,
+        channel_of=np.where(index >= 0, number[index], -1),
+        omegas=freqs[chans],
+        gamma_minus=gm[chans],
+        gamma_plus=gp[chans],
+    )
 
 
 def build_drift(

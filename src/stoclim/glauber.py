@@ -399,10 +399,11 @@ def quantum_glauber_generator(
     bohr = bohr_frequencies(spec)
     table = correlation_table(bath, bohr, n_couplings=cs.n_sites)
     if independent_sites:
+        own = np.eye(cs.n_sites, dtype=bool)
         table = CorrelationTable(
             frequencies=table.frequencies,
-            minus=tuple(np.diag(np.diag(m)) for m in table.minus),
-            plus=tuple(np.diag(np.diag(p)) for p in table.plus),
+            minus=np.where(own, table.minus, 0.0),
+            plus=np.where(own, table.plus, 0.0),
             match_tol=table.match_tol,
         )
     return build_generator(spec, couplings, table, bohr)

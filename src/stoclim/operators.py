@@ -10,7 +10,9 @@ structure:
 * :func:`bohr_frequencies` -- the set of level differences, closed under
   negation and containing 0;
 * :func:`frequency_mask` -- the energy-eigenbasis matrix elements that a
-  frequency component keeps, the one rule every component is formed by;
+  frequency component keeps, the one rule every component is formed by,
+  and :func:`frequency_index`, the same rule for every Bohr frequency at
+  once;
 * :func:`e_omega` -- the frequency component ``E_w(X)`` of an operator,
   i.e. the part of ``X`` that oscillates as ``exp(-i w t)`` under the free
   Heisenberg evolution.
@@ -34,6 +36,7 @@ __all__ = [
     "spectral_decompose",
     "bohr_frequencies",
     "frequency_mask",
+    "frequency_index",
     "e_omega",
     "commutant_membership",
     "dag",
@@ -191,8 +194,8 @@ class BohrSet:
         return len(self.frequencies)
 
     def index_of(self, omega: float) -> int | None:
-        hits = np.nonzero(np.abs(self.frequencies - omega) <= self.match_tol)[0]
-        return int(hits[0]) if hits.size else None
+        k = int(_first_within(self.frequencies, omega, self.match_tol))
+        return k if k >= 0 else None
 
 
 def _cluster_starts(xs: np.ndarray, tol: float) -> list[int]:
@@ -238,11 +241,40 @@ def bohr_frequencies(spec: SpectralData) -> BohrSet:
     return BohrSet(frequencies=freqs, pairs=tuple(pairs), match_tol=tol)
 
 
+def _gaps(spec: SpectralData) -> np.ndarray:
+    # [a, b]: E_b - E_a over the eigenbasis columns
+    col_energy = spec.energies[spec.level_of_column]
+    return col_energy[np.newaxis, :] - col_energy[:, np.newaxis]
+
+
+def _first_within(values: np.ndarray, x, tol: float) -> np.ndarray:
+    """Index of the first of the sorted ``values`` within ``tol`` of each ``x``
+    (``|v - x| <= tol``), -1 where there is none."""
+    k = np.searchsorted(values, np.asarray(x) - tol)
+    out = np.full(np.shape(k), -1)
+    # x - tol rounded down can put a value at k that is not within tol; the
+    # later assignment wins, so the first hit does
+    for c in (k + 1, k):
+        c = np.minimum(c, len(values) - 1)
+        out = np.where(np.abs(values[c] - x) <= tol, c, out)
+    return out
+
+
 def frequency_mask(spec: SpectralData, omega: float) -> np.ndarray:
     """Eigenbasis entries ``[a, b]`` with ``|E_b - E_a - omega| <= match_tol``."""
-    col_energy = spec.energies[spec.level_of_column]
-    gap = col_energy[np.newaxis, :] - col_energy[:, np.newaxis]
-    return np.abs(gap - omega) <= spec.match_tol
+    return np.abs(_gaps(spec) - omega) <= spec.match_tol
+
+
+def frequency_index(spec: SpectralData, bohr: BohrSet) -> np.ndarray:
+    """Bohr-set index of every eigenbasis entry, -1 where none applies.
+
+    Entry ``[a, b]`` gets the first ``k`` for which
+    ``frequency_mask(spec, bohr.frequencies[k])`` keeps it, so the component
+    at ``bohr.frequencies[k]`` is the coupling masked by ``== k``.  For the
+    Bohr set of ``spec`` every entry has one, and no other mask keeps it
+    unless two Bohr frequencies lie within twice ``match_tol``.
+    """
+    return _first_within(bohr.frequencies, _gaps(spec), spec.match_tol)
 
 
 def e_omega(

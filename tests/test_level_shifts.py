@@ -13,7 +13,9 @@ import stoclim.bath
 from stoclim import (
     BathDomainError,
     BathSpec,
+    CorrelationTable,
     bohr_frequencies,
+    build_generator,
     correlation_table,
     principal_value_integral,
     pv_lamb_shift,
@@ -127,7 +129,7 @@ def test_pole_on_tabulated_node():
 
 def test_shift_blocks_filled_by_conjugation(monkeypatch):
     # two complex form factors: the (j, i) shift is the conjugate of (i, j),
-    # so each unordered pair is integrated once
+    # so each unordered pair is integrated once, over all frequencies at once
     form_factors = [lambda r: 1.0 + 0.2j * r, lambda r: 0.5 * np.exp(-0.1j * r)]
     bath = BathSpec(
         beta=1.0,
@@ -148,7 +150,7 @@ def test_shift_blocks_filled_by_conjugation(monkeypatch):
     monkeypatch.setattr(stoclim.bath, "pv_lamb_shift", counted)
     table = correlation_table(bath, bohr, n_couplings=2)
     open_shells = [w for w in bohr.frequencies if 0 < w < 20.0]
-    assert len(calls) == 2 * 3 * len(open_shells)
+    assert len(calls) == 2 * 3
     for w in open_shells:
         for shift, branch in ((table.shift_minus(w), "minus"), (table.shift_plus(w), "plus")):
             assert np.array_equal(shift, shift.conj().T)
@@ -170,3 +172,32 @@ def test_import_leaves_quadrature_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_no_shift_at_non_positive_frequencies():
+    # shifts are principal values at open-shell frequencies only: at w <= 0
+    # both constants are exactly 0, and so is what they add to the shift
+    bath = BathSpec(
+        beta=1.0,
+        kernel="quadrature",
+        uv_cutoff=20.0,
+        lamb_shift=True,
+        form_factors=[lambda r: 1.0 + 0.2j * r, lambda r: 0.5 * np.exp(-0.1j * r)],
+    )
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    spec = spectral_decompose((q * np.array([0.0, 0.7, 1.9, 3.2])) @ q.conj().T)
+    bohr = bohr_frequencies(spec)
+    couplings = [q @ np.diag([1.0, -1.0, 2.0, 0.5]) @ q.conj().T, np.ones((4, 4))]
+    table = correlation_table(bath, bohr, n_couplings=2)
+    low = bohr.frequencies <= 0
+    assert not np.any(table.minus[low]) and not np.any(table.plus[low])
+    assert np.any(table.minus[~low].imag) and np.any(table.plus[~low].imag)
+    only_low = CorrelationTable(
+        table.frequencies,
+        np.where(low[:, None, None], table.minus, 0.0),
+        np.where(low[:, None, None], table.plus, 0.0),
+        table.match_tol,
+    )
+    assert not np.any(build_generator(spec, couplings, only_low, bohr).shift)
+    assert np.any(build_generator(spec, couplings, table, bohr).shift)
