@@ -272,10 +272,12 @@ def correlation_table(bath: BathSpec, bohr: BohrSet, n_couplings: int = 1) -> Co
     ``lamb_shift`` on, the anti-Hermitian parts are principal values, one
     :func:`pv_lamb_shift` over all open-shell frequencies per unordered
     coupling pair and branch: the shift of (j, i) is the conjugate of that of
-    (i, j).  At ``w <= 0`` both constants are exactly 0, shifts included, so
-    such frequencies add nothing to the shift Hamiltonian.  A non-finite
-    constant raises :class:`BathDomainError` naming the lowest such
-    frequency and its coupling pair (emission branch first).
+    (i, j).  Without form factors every pair has the same numerator, so each
+    branch takes one call.  At ``w <= 0`` both constants are exactly 0,
+    shifts included, so such frequencies add nothing to the shift
+    Hamiltonian.  A non-finite constant raises :class:`BathDomainError`
+    naming the lowest such frequency and its coupling pair (emission branch
+    first).
     """
     nf = bath.n_form_factors()
     if nf is not None and nf != n_couplings:
@@ -290,6 +292,10 @@ def correlation_table(bath: BathSpec, bohr: BohrSet, n_couplings: int = 1) -> Co
     plus[is_open] = shell * filtered_density(bath, w)[:, None, None]
     if bath.lamb_shift and w.size:
         for branch, c in (("minus", minus), ("plus", plus)):
+            if bath.form_factors is None:
+                # every coupling pair integrates the same real numerator
+                c[is_open] += 1j * pv_lamb_shift(bath, w, branch=branch)[:, None, None]
+                continue
             for i, j in combinations_with_replacement(range(n_couplings), 2):
                 s = pv_lamb_shift(bath, w, (i, j), branch=branch)
                 c[is_open, i, j] += 1j * s
@@ -388,7 +394,7 @@ def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, rule: 
         y = _elementwise(f, lo[..., None] + step) if y is None else y
         d = (lo - poles[owner])[..., None] + step
         quotient = (y - f_pole[owner][..., None]) / d
-        return np.moveaxis((hi - lo)[..., None] * np.dot(quotient, weights), -1, 0)
+        return np.moveaxis((hi - lo)[..., None] * (quotient @ weights), -1, 0)
 
     # every pole shares the rule's cells, so f is evaluated on them once; an
     # inner pole that is not an edge cuts its cell into two cells of its own

@@ -14,7 +14,11 @@ Narnhofer, J. Phys. A 41, 395303, 2008).  Trajectories step from sample to
 sample on the components the initial state touches, with a batched dense
 ``expm(M dt)`` per block size up to :data:`DENSE_KINETIC_STATES` states and
 ``expm_multiply`` (Al-Mohy & Higham 2011) above; null spaces come from a
-batched SVD of the blocks.
+batched SVD of the blocks.  A classical system first lumps onto the orbits
+of the declared symmetries of its rate matrix that fix the start (strong
+lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3), so
+the all-up start of a uniform 12-ring steps on 118 orbits instead of a
+1,848-state component.
 """
 
 from __future__ import annotations
@@ -164,11 +168,16 @@ class _Components:
                 np.add.at(sub, (coo.row // s, coo.row % s, coo.col % s), coo.data)
             yield idx, sub
 
-    def propagate(self, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def propagate(self, v0: np.ndarray, times: np.ndarray, stochastic: bool = False) -> np.ndarray:
         """``expm(M t) v0`` at each time (rows) from t = 0, stepped from sample to
         sample on the components ``v0`` touches: batched dense propagators up to
         ``DENSE_KINETIC_STATES`` states, formed again only when the step changes
-        by more than the rounding of the sample times, ``expm_multiply`` above."""
+        by more than the rounding of the sample times, ``expm_multiply`` above.
+
+        ``stochastic`` says that the columns of M sum to zero.  Each dense
+        propagator's columns are then set to sum to one, the deficit going to
+        the diagonal, so the rounding of ``expm`` does not pile up step after
+        step along the stationary direction, where nothing damps it."""
         times = np.asarray(times, dtype=float)
         steps = np.diff(times, prepend=0.0)
         if not (np.isfinite(times).all() and np.all(steps >= 0)):
@@ -182,6 +191,9 @@ class _Components:
                 elif dt > 0.0:
                     if h is None or abs(dt - h) > 4.0 * np.spacing(t):
                         h, prop = dt, expm(block * dt)
+                        if stochastic:
+                            diag = np.arange(prop.shape[-1])
+                            prop[:, diag, diag] += 1.0 - prop.sum(axis=1)
                     v = np.einsum("gij,gj->gi", prop, v)
                 out[k, idx] = v
         return out
@@ -271,18 +283,31 @@ def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult
     return StationaryResult(ergodic=True, state=rho, basis=(rho,))
 
 
+def _symmetry_defect(k: sparse.csc_matrix, perm) -> float:
+    """``max |K[perm][:, perm] - K|`` relative to ``max(1, max|K|)``; inf when
+    ``perm`` is not a permutation of the states."""
+    perm = np.asarray(perm)
+    if perm.shape != (k.shape[0],) or not np.array_equal(np.sort(perm), np.arange(k.shape[0])):
+        return math.inf
+    return float(abs(k[perm][:, perm] - k).max()) / max(1.0, abs(k).max())
+
+
 @dataclass(eq=False)
 class ClassicalKineticSystem:
     """Jump process on the population sector.
 
     ``rate_matrix`` is the column generator: ``K[b, a]`` is the jump rate
     a -> b for ``b != a`` and each diagonal entry is minus the total outflow,
-    so columns sum to zero and ``dp/dt = K p``.
+    so columns sum to zero and ``dp/dt = K p``.  ``symmetries`` holds state
+    permutations (index arrays) under which K is invariant,
+    ``K[perm][:, perm] == K``; :meth:`evolve` propagates on their orbits
+    when the start is invariant too.
     """
 
     labels: tuple
     energies: np.ndarray
     rate_matrix: np.ndarray | sparse.spmatrix
+    symmetries: tuple = ()
 
     @property
     def size(self) -> int:
@@ -296,27 +321,55 @@ class ClassicalKineticSystem:
         return sparse.csc_matrix(self.rate_matrix, dtype=float)
 
     def validate(self, tol: float = 1e-10) -> None:
+        """Check finiteness, non-negative jump rates, zero column sums and
+        the declared symmetries, each to ``tol`` times ``max(1, max|K|)``;
+        raises ``ValueError`` naming the failed check."""
         k = self.as_csc()
         if not np.isfinite(k.data).all():
             raise ValueError("rate matrix has non-finite entries")
+        scale = max(1.0, abs(k).max())
         lo = (k - sparse.diags(k.diagonal())).min()
-        if lo < -tol:
+        if lo < -tol * scale:
             raise ValueError(f"negative off-diagonal rate {lo:.3e}")
         colsum = np.abs(k.sum(axis=0)).max()
-        if colsum > tol * max(1.0, abs(k).max()):
+        if colsum > tol * scale:
             raise ValueError(f"columns do not sum to zero (max {colsum:.3e})")
+        for i, perm in enumerate(self.symmetries):
+            defect = _symmetry_defect(k, perm)
+            if not defect <= tol:
+                raise ValueError(
+                    f"rate matrix is not invariant under symmetry {i} (defect {defect:.3e})"
+                )
 
     def evolve(self, p0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """Distribution trajectory, shape (len(times), size).
 
-        Steps from sample to sample, starting at t = 0, on the connected
-        components of K that ``p0`` touches; the times must be finite,
+        The symmetries that fix ``p0`` exactly split the states into orbits,
+        and K lumps exactly onto orbit sums (strong lumpability; Kemeny &
+        Snell, *Finite Markov Chains*, 1960, section 6.3): the chain runs on
+        ``Q = L K R``, with L the orbit indicator and R spreading each orbit
+        uniformly, and each orbit's probability is shared out evenly again.
+        With no such symmetry every orbit is one state and Q is K.  Q steps
+        from sample to sample, starting at t = 0, on the connected
+        components that ``L p0`` touches; the times must be finite,
         non-negative and non-decreasing (else ``ValueError``).  A component
-        of up to ``DENSE_KINETIC_STATES`` states costs one ``expm`` per
-        distinct step at any horizon; a larger one steps with
-        ``expm_multiply``, which needs about ``|K|_1 dt`` sparse products.
+        of up to ``DENSE_KINETIC_STATES`` orbits costs one ``expm`` per
+        distinct step at any horizon, with its columns set to sum to one so
+        that probability does not drift; a larger one steps with
+        ``expm_multiply``, which needs about ``|Q|_1 dt`` sparse products.
         """
-        return _Components(self.as_csc()).propagate(np.asarray(p0, dtype=float), times)
+        p0 = np.asarray(p0, dtype=float)
+        states = np.arange(self.size)
+        perms = [states] + [p for p in self.symmetries if np.array_equal(p0[p], p0)]
+        moves = sparse.coo_matrix(
+            (np.ones(len(perms) * self.size), (np.tile(states, len(perms)), np.concatenate(perms))),
+            shape=(self.size, self.size),
+        )
+        _, orbit = connected_components(moves, connection="weak")
+        sizes = np.bincount(orbit)
+        lump = sparse.csr_matrix((np.ones(self.size), (orbit, states)))
+        q = lump @ self.as_csc() @ lump.T @ sparse.diags(1.0 / sizes)
+        return _Components(q).propagate(lump @ p0, times, stochastic=True)[:, orbit] / sizes[orbit]
 
     def stationary(self) -> np.ndarray:
         """Normalised stationary distribution (null space per component)."""

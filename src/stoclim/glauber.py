@@ -42,7 +42,7 @@ from .bath import (
     correlation_table,
     emission_rate,
 )
-from .evolution import DENSE_KINETIC_STATES, ClassicalKineticSystem
+from .evolution import DENSE_KINETIC_STATES, ClassicalKineticSystem, _symmetry_defect
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
@@ -331,6 +331,14 @@ def classical_glauber_generator(
     (2^10) configurations and sparse beyond.  Energy-neutral flips have zero
     rate, so K can split into disconnected components (9 on the 12-ring,
     the all-up one with 1,848 states); the solvers treat each on its own.
+
+    Two candidate symmetries act on the configuration indices by bit
+    operations: the one-site rotation (periodic chains only) and the
+    reflection r -> n-1-r.  Each is kept in ``symmetries`` only if K is
+    invariant under it, which holds for uniform couplings and equal form
+    factors and fails for random bonds or per-site form factors; an
+    invariant start, such as the all-up ground configuration, then evolves
+    on the orbits (118 of them in the 12-ring's all-up component).
     """
     _check_form_factors(cs, bath)
     n = cs.n_sites
@@ -349,12 +357,21 @@ def classical_glauber_generator(
     )
     # the subtraction also drops the stored zeros of energy-neutral flips
     k = off - sparse.diags(np.asarray(off.sum(axis=0)).ravel())
+    # site r is bit n-1-r of the index
+    mirror = np.zeros_like(configs)
+    for r in range(n):
+        mirror |= ((configs >> r) & 1) << (n - 1 - r)
+    candidates = [mirror]
+    if cs.boundary == "periodic":
+        candidates.append((configs >> 1) | ((configs & 1) << (n - 1)))
     system = ClassicalKineticSystem(
         labels=tuple(range(size)),
         energies=configuration_energies(cs),
         rate_matrix=k.toarray() if size <= DENSE_KINETIC_STATES else k,
     )
     system.validate()
+    # validate's invariance test, kept candidates only
+    system.symmetries = tuple(p for p in candidates if _symmetry_defect(k, p) <= 1e-10)
     return system
 
 

@@ -353,3 +353,19 @@ def test_population_block_in_a_rotated_degenerate_basis():
     np.fill_diagonal(want, -want.sum(axis=0))
     got = np.asarray(diagonal_restriction(gen, basis=basis).rate_matrix)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_population_block_with_large_shifts_in_a_rotated_degenerate_basis():
+    # the complex form factors make |H_shift| about 9e6, so the rate between
+    # the two mixed states of the degenerate level, zero in exact arithmetic,
+    # rounds to about -1e-9: below the old absolute floor of -1e-10, far
+    # inside 1e-10 of the largest rate (about 8e3)
+    h, couplings, bath = generic_complex()
+    spec = spectral_decompose(h)
+    bohr = bohr_frequencies(spec)
+    gen = build_generator(spec, couplings, correlation_table(bath, bohr, 3), bohr)
+    assert np.abs(gen.h_shift).max() > 1e6
+    mix = np.eye(spec.dim, dtype=complex)
+    mix[1:3, 1:3] = random_unitary(np.random.default_rng(75), 2)
+    k = np.asarray(diagonal_restriction(gen, basis=spec.basis @ mix).rate_matrix)
+    assert -1e-8 < min(k[1, 2], k[2, 1]) < -1e-10

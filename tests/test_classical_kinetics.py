@@ -164,6 +164,19 @@ def test_validate_rejects_nan_rate(as_sparse):
         cks.validate()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_validate_floor_is_relative_to_the_largest_rate(scale):
+    # rounding below 1e-10 of the largest rate passes, a real negative rate fails
+    def system(off):
+        k = scale * np.array([[-1.0, off], [1.0, -off]])
+        return ClassicalKineticSystem(labels=(0, 1), energies=np.zeros(2), rate_matrix=k)
+
+    system(-0.9e-10).validate()
+    for off in (-1.1e-10, -1e-3):
+        with pytest.raises(ValueError, match="negative off-diagonal rate"):
+            system(off).validate()
+
+
 @pytest.mark.parametrize("n_sites", [4, 11])
 def test_negative_mode_density_names_site_and_energy(n_sites):
     bath = BathSpec(beta=1.0, mode_density=lambda rho: -0.5)

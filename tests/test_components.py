@@ -132,3 +132,21 @@ def test_large_components_are_never_densified(monkeypatch):
     dist = cks.evolve(p0, np.linspace(0.0, 0.05, 3))
     assert shapes and max(s[-1] for s in shapes) <= evolution.DENSE_KINETIC_STATES
     assert np.abs(dist.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_large_components_step_with_expm_multiply(monkeypatch):
+    # a start that no ring symmetry fixes propagates on the 1,848-state
+    # component itself, past the dense size
+    sizes = []
+    real = evolution.expm_multiply
+    monkeypatch.setattr(
+        evolution, "expm_multiply", lambda a, v: sizes.append(a.shape[0]) or real(a, v)
+    )
+    cs = SpinChainSpec(n_sites=12, coupling=1.0, boundary="periodic")
+    cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
+    p0 = np.zeros(cs.dim)
+    p0[[1, 2, 3]] = [0.5, 0.3, 0.2]
+    dist = cks.evolve(p0, np.linspace(0.0, 0.05, 3))
+    assert sizes == [1848, 1848]
+    assert np.abs(dist.sum(axis=1) - 1.0).max() <= 1e-12
+    assert dist.min() >= -1e-15

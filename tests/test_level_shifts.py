@@ -160,6 +160,28 @@ def test_shift_blocks_filled_by_conjugation(monkeypatch):
                     assert shift[i, j] == pytest.approx(want, rel=1e-13, abs=1e-12)
 
 
+def test_flat_form_factors_take_one_shift_per_branch(monkeypatch):
+    # without form factors every coupling pair has the numerator j(rho) W(rho),
+    # so three couplings take 2 calls, not 3 pairs x 2 branches
+    bath = BathSpec(beta=1.0, kernel="quadrature", uv_cutoff=20.0, lamb_shift=True)
+    bohr = bohr_frequencies(spectral_decompose(np.diag([0.0, 0.7, 1.9, 3.4])))
+    calls = []
+    real = stoclim.bath.pv_lamb_shift
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["branch"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stoclim.bath, "pv_lamb_shift", counted)
+    table = correlation_table(bath, bohr, n_couplings=3)
+    assert calls == ["minus", "plus"]
+    for w in (w for w in bohr.frequencies if 0 < w < 20.0):
+        for shift, branch in ((table.shift_minus(w), "minus"), (table.shift_plus(w), "plus")):
+            want = real(bath, w, (0, 1), branch=branch)
+            assert np.array_equal(shift, np.full((3, 3), shift[0, 0]))
+            assert shift[0, 0] == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+
 def test_import_leaves_quadrature_unloaded():
     # scipy.integrate is imported where quadrature runs, not with the package
     src = os.path.dirname(os.path.dirname(stoclim.__file__))
