@@ -25,7 +25,8 @@ from stoclim import (  # noqa: E402
 )
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
-from stoclim.generator import NonGenericError, apply_adjoint  # noqa: E402
+from stoclim.evolution import _Components  # noqa: E402
+from stoclim.generator import NonGenericError, apply_adjoint, unvectorize, vectorize  # noqa: E402
 from stoclim.operators import dag  # noqa: E402
 
 
@@ -114,6 +115,40 @@ def test_components_lie_in_one_bohr_sector(system):
     for c in range(n_comp):
         in_comp = freq[label == c]
         assert in_comp.max() - in_comp.min() <= bohr.match_tol, c
+
+
+@given(systems())
+def test_propagator_is_completely_positive_and_trace_preserving(system):
+    # the Choi matrix sum_ij |i><j| (x) Phi_t(|i><j|) of the propagated map
+    # is PSD exactly when Phi_t is completely positive (Choi 1975); the
+    # eigenbasis superoperator is the map up to a unitary change of basis
+    h, couplings, bath, (s_minus, s_plus), _ = system
+    spec = spectral_decompose(h)
+    assume(spec.dim <= 4)
+    bohr = bohr_frequencies(spec)
+    table = correlation_table(bath, bohr, len(couplings))
+    table = dataclasses.replace(
+        table,
+        minus=tuple(m + 1j * np.abs(m).max() * s_minus for m in table.minus),
+        plus=tuple(p + 1j * np.abs(p).max() * s_plus for p in table.plus),
+    )
+    gen = build_generator(spec, couplings, table, bohr)
+    d = gen.dim
+    blocks = _Components(gen.superoperator)
+    units = np.eye(d * d).reshape(d, d, d, d)
+    images = np.array(
+        [
+            [[unvectorize(x, d) for x in blocks.propagate(vectorize(units[i, j]), [0.0, 0.1, 1.0])[1:]]
+             for j in range(d)]
+            for i in range(d)
+        ]
+    )
+    for k in range(2):
+        phi = images[:, :, k]
+        choi = phi.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        assert np.abs(choi - dag(choi)).max() <= 1e-12
+        assert np.linalg.eigvalsh(0.5 * (choi + dag(choi))).min() >= -1e-10
+        assert np.abs(np.trace(phi, axis1=2, axis2=3) - np.eye(d)).max() <= 1e-12
 
 
 @given(
