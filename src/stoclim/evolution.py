@@ -15,12 +15,11 @@ sample on the components the initial state touches, with a batched dense
 ``expm(M dt)`` per block size up to :data:`DENSE_KINETIC_STATES` states and
 ``expm_multiply`` (Al-Mohy & Higham 2011) above; null spaces come from a
 batched SVD of the blocks.  The dense exponential is this module's own
-:func:`expm`, one numpy kernel for the quantum and the classical blocks
-(scaling and squaring on Padé approximants; Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 31, 970, 2009), so every dense BLAS and LAPACK call runs
-in numpy's library.  A block whose columns sum to zero gets a propagator
-whose columns are reset to sum to one after each stage of the kernel, so
-probability does not drift.  A classical system first lumps onto the orbits
+numpy kernel :func:`expm`, scaling and squaring on Padé approximants with
+degree and squarings chosen from the 1-norm alone (Higham, SIAM J. Matrix
+Anal. Appl. 26, 1179, 2005), so every dense BLAS and LAPACK call runs in
+numpy's library; it keeps unit column sums for blocks whose columns sum to
+zero, so probability does not drift.  A classical system first lumps onto the orbits
 of the declared symmetries of its rate matrix that fix the start (strong
 lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3), so
 the all-up start of a uniform 12-ring steps on 118 orbits instead of a
@@ -163,55 +162,10 @@ _PADE = {
          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
 }
-# log2 of theta_m, the largest eta for which degree m meets the unit roundoff,
-# and of 1/|c_{2m+1}|, the leading coefficient of its error series (Al-Mohy &
-# Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009)
-_LOG2_THETA = {
-    3: math.log2(1.495585217958292e-2),
-    5: math.log2(2.539398330063230e-1),
-    7: math.log2(9.504178996162932e-1),
-    9: math.log2(2.097847961257068),
-    13: math.log2(4.25),
-}
-_LOG2_ERROR_COEFF = {
-    3: math.log2(100800.0),
-    5: math.log2(10059033600.0),
-    7: math.log2(4487938430976000.0),
-    9: math.log2(5914384781877411840000.0),
-    13: math.log2(113250775606021113483283660800000000.0),
-}
-
-
-def _norm1(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
-def _log2_root_norm(power: np.ndarray, k: int, shift: np.ndarray) -> np.ndarray:
-    """``log2 ||A^k||_1^(1/k)`` of ``A = A0 2^shift`` from ``power = A0^k``."""
-    with np.errstate(divide="ignore"):
-        return np.log2(_norm1(power)) / k + shift
-
-
-def _ell(a0: np.ndarray, shift: np.ndarray, m: int) -> np.ndarray:
-    """Extra squarings that keep the backward error of degree m below the unit
-    roundoff for ``A = A0 2^shift`` (Al-Mohy & Higham 2009, eq. 5.1).  The
-    bound ``||abs(A0)^(2m+1)||_1 <= ||A0||_1^(2m+1)`` settles most blocks;
-    otherwise that 1-norm, of a matrix with non-negative entries, is the
-    largest entry of ``1^T |A0|^(2m+1)``, 2m+1 vector products."""
-    p = 2 * m + 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_norm = np.log2(_norm1(a0))
-        log_power = p * log_norm
-        if np.any(log_power - log_norm + (p - 1) * shift - _LOG2_ERROR_COEFF[m] + 53.0 > 0):
-            absa = np.abs(a0)
-            row = np.ones(a0.shape[:2], dtype=absa.dtype)[:, np.newaxis]
-            for _ in range(p):
-                row = row @ absa
-            log_power = np.log2(row.max(axis=(1, 2)))
-        log_alpha = log_power - log_norm + (p - 1) * shift - _LOG2_ERROR_COEFF[m]
-        ell = np.ceil((log_alpha + 53.0) / (2 * m))
-    # a zero matrix gives nan, a vanishing power -inf: no extra squaring
-    return np.where(ell > 0, ell, 0).astype(int)
+# theta_m, the largest 1-norm for which degree m meets the unit roundoff
+# (Higham 2005, table 2.3)
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
 
 
 def _unit_column_sums(x: np.ndarray, stochastic: np.ndarray) -> None:
@@ -225,71 +179,55 @@ def _unit_column_sums(x: np.ndarray, stochastic: np.ndarray) -> None:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each square block of a stack (..., n, n).
 
-    Scaling and squaring on a Padé approximant of degree 3, 5, 7, 9 or 13
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009, algorithm
-    5.1, with exact 1-norms of the powers).  One degree serves the whole
-    stack, the smallest that every block admits; the number of squarings is
-    chosen block by block.  Each block is first divided by a power of two
-    that brings its 1-norm to at most one, so its powers cannot overflow
-    however large the step; the choice is made on the undivided matrix.
+    Scaling and squaring on Padé approximants chosen from the 1-norm alone
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005): the stack takes the
+    smallest degree m in {3, 5, 7, 9} whose theta_m bounds its largest block
+    1-norm, else 13, where each block A takes ``s = max(0, ceil(log2(|A|_1 /
+    theta_13)))`` squarings and is first divided by the exact power 2^s, so
+    its powers cannot overflow however large the step.
 
     A block whose columns sum to zero, to ``n`` units of rounding of its
     1-norm, has a propagator whose columns sum to one: a classical rate
     matrix, or a population block of a trace-preserving generator.  Those
     sums are reset to one after the Padé step and after every squaring, the
     deficit going to the diagonal, so that rounding does not pile up along
-    the stationary direction, where nothing damps it.
-
-    Only numpy's BLAS and LAPACK are called.  Raises ``RuntimeError`` for a
-    block with non-finite entries or a propagator that overflows.
+    the stationary direction, where nothing damps it.  Only numpy's BLAS and
+    LAPACK are called.  Raises ``RuntimeError`` for a block with non-finite
+    entries or a propagator that overflows.
     """
     a = np.asarray(a)
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
-    norm = _norm1(a)
+    with np.errstate(over="ignore"):
+        norm = np.abs(a).sum(axis=1).max(axis=-1)
     if not np.isfinite(norm).all():
         raise RuntimeError("matrix exponential of a block with non-finite entries")
     if n == 1:
         return np.exp(a).reshape(shape)
     stochastic = np.abs(a.sum(axis=1)).max(axis=-1) <= n * np.finfo(float).eps * norm
-    e0 = np.maximum(np.frexp(norm)[1], 0)
-    a0 = a * np.exp2(-e0)[:, np.newaxis, np.newaxis]
-    a2 = a0 @ a0
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    d6 = _log2_root_norm(a6, 6, e0)
-    eta = np.maximum(_log2_root_norm(a4, 4, e0), d6)
-    s = np.zeros(len(a), dtype=int)
-    for m in (3, 5, 7, 9, 13):
-        if m == 7:
-            a8 = a4 @ a4
-            d8 = _log2_root_norm(a8, 8, e0)
-            eta = np.maximum(d6, d8)
-        if m == 13:
-            del a8  # only degree 9 reads it
-            eta = np.minimum(eta, np.maximum(d8, _log2_root_norm(a4 @ a6, 10, e0)))
-            s = np.maximum(np.ceil(eta - _LOG2_THETA[13]), 0).astype(int)
-            s += _ell(a0, e0 - s, 13)
-            break
-        if (eta <= _LOG2_THETA[m]).all() and not _ell(a0, e0, m).any():
-            break
-    # the powers of A 2^-s, in place and exactly: each factor is a power of two
-    f = np.exp2(e0 - s)[:, np.newaxis, np.newaxis]
-    powers = (a2, a4, a6, a8) if m == 9 else (a2, a4, a6)
-    for p, k in zip((a0, *powers), (1, 2, 4, 6, 8)):
-        p *= f**k
+    m = next((m for m in (3, 5, 7, 9) if norm.max() <= _THETA[m]), 13)
+    # no squaring below degree 13, where every norm is at most theta_9
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(norm / _THETA[13])), 0).astype(int)
+    a = a * np.exp2(-s)[:, np.newaxis, np.newaxis]
+    # A^2, A^4, A^6 and, at degree 9, A^8
+    powers = [a @ a]
+    while len(powers) < min(m // 2, 3):
+        powers.append(powers[-1] @ powers[0])
+    if m == 9:
+        powers.append(powers[1] @ powers[1])
     b = _PADE[m]
     if m == 13:
+        a2, a4, a6 = powers
         u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2
         v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2
     else:
-        powers = powers[: m // 2]
         u = sum(b[2 * j + 3] * p for j, p in enumerate(powers))
         v = sum(b[2 * j + 2] * p for j, p in enumerate(powers))
     diag = np.arange(n)
     u[:, diag, diag] += b[1]
     v[:, diag, diag] += b[0]
-    u = a0 @ u
+    u = a @ u
     x = np.linalg.solve(v - u, v + u)
     _unit_column_sums(x, stochastic)
     # square the blocks that need the most squarings first, each a leading slice
@@ -333,13 +271,10 @@ class _Components:
         sample on the components ``v0`` touches: batched dense propagators up to
         ``DENSE_KINETIC_STATES`` states, formed again only when the step changes
         by more than the rounding of the sample times, ``expm_multiply`` above.
-
-        The dense propagators come from this module's :func:`expm` (Al-Mohy &
-        Higham 2009), one numpy call per component size and step for quantum
-        and classical blocks alike.  A block whose columns sum to zero, as a
-        classical rate matrix or a population block does, gets a propagator
-        whose columns the kernel resets to sum to one, so probability does
-        not drift."""
+        Each dense propagator is one :func:`expm` call on all blocks of a size,
+        its Padé degree and squarings chosen from the 1-norm of ``M dt`` alone
+        (Higham 2005); a step that overflows ``M dt`` reaches the kernel as
+        non-finite entries, which it reports as ``RuntimeError``."""
         times = np.asarray(times, dtype=float)
         steps = np.diff(times, prepend=0.0)
         if not (np.isfinite(times).all() and np.all(steps >= 0)):
@@ -352,7 +287,8 @@ class _Components:
                     v = expm_multiply(block * dt, v.ravel()).reshape(idx.shape)
                 elif dt > 0.0:
                     if h is None or abs(dt - h) > 4.0 * np.spacing(t):
-                        h, prop = dt, expm(block * dt)
+                        with np.errstate(over="ignore"):
+                            h, prop = dt, expm(block * dt)
                     v = np.einsum("gij,gj->gi", prop, v)
                 out[k, idx] = v
         return out

@@ -1,10 +1,13 @@
 """The package's batched matrix exponential, ``evolution.expm``.
 
-scipy's ``expm`` implements the same algorithm (Al-Mohy & Higham 2009) and
-serves here only as an oracle; the package calls numpy's BLAS and LAPACK
-alone.  A 40-digit ``mpmath`` exponential checks one stiff Glauber block,
-and an overflowing step is followed from the kernel to the command line.
+scipy's ``expm`` (Al-Mohy & Higham 2009) is a more elaborate algorithm than
+the kernel's 1-norm rule (Higham 2005) and serves here only as an oracle;
+the package calls numpy's BLAS and LAPACK alone.  A 40-digit ``mpmath``
+exponential checks one stiff Glauber block, and an overflowing step is
+followed from the kernel to the command line.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ from stoclim import (
     classical_glauber_generator,
     configuration_energies,
     gibbs_distribution,
+    quantum_glauber_generator,
 )
 from stoclim import evolution
-from stoclim.evolution import expm
+from stoclim.evolution import evolve, expm
 
 NORMS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 1e1, 1e2, 1e3)
 
@@ -170,3 +174,48 @@ def test_cli_overflowing_horizon(capsys):
             code, rows, err = glauber_rows(cli, capsys, "--t-max", "1e307", "--points", "3", "--mode", mode)
         assert code == 3 and rows == [], mode
         assert err.startswith("numerical error: matrix exponential"), mode
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_overflowing_step_prints_only_the_named_error(capsys, mode):
+    # forming M dt overflows; the kernel, not numpy, reports it
+    from stoclim import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows, err = glauber_rows(cli, capsys, "--t-max", "1e307", "--points", "3", "--mode", mode)
+    assert code == 3 and rows == []
+    assert err.startswith("numerical error:") and len(err.splitlines()) == 1, err
+
+
+@pytest.fixture
+def traffic(monkeypatch):
+    """The stacks that the propagators hand to ``evolution.expm``."""
+    blocks = []
+    real = evolution.expm
+    monkeypatch.setattr(evolution, "expm", lambda a: blocks.append(a.copy()) or real(a))
+    return blocks
+
+
+def test_quantum_ring_blocks_match_scipy(traffic):
+    cs = SpinChainSpec(n_sites=4, coupling=1.0, boundary="periodic")
+    gen = quantum_glauber_generator(cs, BathSpec(beta=1.0))
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((cs.dim, cs.dim)) + 1j * rng.standard_normal((cs.dim, cs.dim))
+    rho = g @ g.conj().T
+    evolve(gen, rho / np.trace(rho), np.linspace(0.0, 10.0, 11))
+    assert len({a.shape[-1] for a in traffic}) >= 3
+    assert all(np.iscomplexobj(a) for a in traffic)
+    for a in traffic:
+        assert agrees_with_scipy(a, expm(a)), a.shape
+
+
+def test_lumped_12_ring_block_matches_scipy(traffic):
+    cs = SpinChainSpec(n_sites=12, coupling=1.0, boundary="periodic")
+    cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
+    p0 = np.zeros(cks.size)
+    p0[0] = 1.0
+    cks.evolve(p0, np.linspace(0.0, 10.0, 100))
+    (a,) = traffic
+    assert a.shape == (1, 118, 118)
+    assert agrees_with_scipy(a, expm(a))

@@ -195,3 +195,51 @@ def test_cli_scaling_with_one_size_exits_2(capsys):
     assert code == 2
     assert out.out == ""
     assert "two distinct ring sizes" in out.err
+
+
+def dense_detailed_balance(k, p, rows=256):
+    """Largest ``|flow - flow.T|`` over the dense matrix, ``flow[b, a] =
+    K[b, a] p_a``, and its (from, to) pair, first in row-major (to, from)
+    order as ``np.argmax`` finds it; taken a slab of rows at a time."""
+    best, pair = -1.0, [0, 0]
+    for lo in range(0, k.shape[0], rows):
+        flow = k[lo : lo + rows].toarray() * p
+        back = k[:, lo : lo + rows].toarray().T * p[lo : lo + rows, np.newaxis]
+        gap = np.abs(flow - back)
+        b, a = np.unravel_index(int(np.argmax(gap)), gap.shape)
+        if gap[b, a] > best:
+            best, pair = float(gap[b, a]), [int(a), lo + int(b)]
+    return best, pair
+
+
+@pytest.mark.parametrize("fault", [None, "4095,4094,3", "1,0,0.5"])
+def test_detailed_balance_suite_on_12_sites_stays_sparse(tmp_path, capsys, fault):
+    # the 12-ring has 4096 configurations: a dense 4096 x 4096 float array
+    # alone takes 134 MB
+    import tracemalloc
+
+    from stoclim import SpinChainSpec, classical_glauber_generator, gibbs_distribution
+
+    path = tmp_path / "ring.json"
+    path.write_text(
+        json.dumps({"spin": {"sites": 12, "J": 1.0, "boundary": "periodic"}, "bath": {"beta": 1.0}})
+    )
+    args = ["check", "--suite", "detailed-balance", "--config", str(path)]
+    tracemalloc.start()
+    try:
+        code = cli.main(args + (["--corrupt-rate", fault] if fault else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert peak < 100e6
+    cks = classical_glauber_generator(
+        SpinChainSpec(n_sites=12, coupling=1.0, boundary="periodic"), BathSpec(beta=1.0)
+    )
+    k = cks.as_csc().tolil()
+    if fault:
+        a, b, factor = fault.split(",")
+        k[int(b), int(a)] *= float(factor)
+    residual, pair = dense_detailed_balance(k.tocsr(), gibbs_distribution(1.0, cks.energies))
+    assert doc["residual"] == residual and doc["worst_pair"] == pair
+    assert code == (0 if fault is None else 1)

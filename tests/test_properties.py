@@ -25,7 +25,7 @@ from stoclim import (  # noqa: E402
 )
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
-from stoclim.evolution import _Components  # noqa: E402
+from stoclim.evolution import _Components, gibbs_state  # noqa: E402
 from stoclim.generator import NonGenericError, apply_adjoint, unvectorize, vectorize  # noqa: E402
 from stoclim.operators import dag  # noqa: E402
 
@@ -149,6 +149,27 @@ def test_propagator_is_completely_positive_and_trace_preserving(system):
         assert np.abs(choi - dag(choi)).max() <= 1e-12
         assert np.linalg.eigvalsh(0.5 * (choi + dag(choi))).min() >= -1e-10
         assert np.abs(np.trace(phi, axis1=2, axis2=3) - np.eye(d)).max() <= 1e-12
+
+
+@given(systems())
+def test_gibbs_state_is_stationary_and_rates_satisfy_kms(system):
+    # detailed balance: the KMS ratio gamma_plus = exp(-beta w) gamma_minus
+    # holds channel by channel, so the Gibbs state is stationary; the shifts
+    # commute with H and leave it stationary too
+    h, couplings, bath, (s_minus, s_plus), _ = system
+    spec = spectral_decompose(h)
+    bohr = bohr_frequencies(spec)
+    table = correlation_table(bath, bohr, len(couplings))
+    table = dataclasses.replace(
+        table,
+        minus=tuple(m + 1j * np.abs(m).max() * s_minus for m in table.minus),
+        plus=tuple(p + 1j * np.abs(p).max() * s_plus for p in table.plus),
+    )
+    gen = build_generator(spec, couplings, table, bohr)
+    scale = gen.norm_scale() * max(1.0, float(np.abs(np.asarray(couplings)).max())) ** 2
+    for w, gm, gp in zip(gen.omegas, gen.gamma_minus, gen.gamma_plus):
+        assert np.abs(gp - np.exp(-bath.beta * w) * gm).max() <= 1e-12 * np.abs(gm).max()
+    assert np.abs(apply_adjoint(gen, gibbs_state(bath.beta, spec))).max() <= 1e-12 * scale
 
 
 @given(
