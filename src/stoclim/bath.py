@@ -443,9 +443,7 @@ def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, rule: 
     return total
 
 
-def principal_value_integral(
-    f: Callable, a: float, b: float, pole, excision: float | None = None, nodes=()
-):
+def principal_value_integral(f: Callable, a: float, b: float, pole, nodes=()):
     """Cauchy principal value of ``f(x)/(x - pole)`` over (a, b).
 
     For ``a < pole < b`` the pole is subtracted:
@@ -454,7 +452,6 @@ def principal_value_integral(
     docstring, with the pole and ``nodes`` (kinks or jumps of ``f``) as cell
     edges.  A pole outside (a, b) leaves the same rule on ``f(x)/(x - pole)``;
     a jump of ``f`` at the pole diverges.  ``f`` is called on node arrays.
-    ``excision`` is accepted and ignored.
 
     ``pole`` may be an array, giving an array of the same shape: every pole
     keeps its own cells, tolerance and bisection, but the poles share the

@@ -318,8 +318,6 @@ def _glauber_setup(args) -> tuple[SpinChainSpec, BathSpec]:
 
 def cmd_glauber(args) -> int:
     cs, bath = _glauber_setup(args)
-    if args.observable not in ("magnetization", "energy"):
-        raise ConfigError(f"unknown observable {args.observable!r}")
     times = _times(args, None)
     mags = configuration_magnetizations(cs)
     energies = configuration_energies(cs)
@@ -392,6 +390,10 @@ def _suite_detailed_balance(cfg: RunConfig | None, args) -> tuple[bool, dict]:
             )
         if not (math.isfinite(factor) and factor >= 0.0):
             raise ConfigError(f"--corrupt-rate: factor must be finite and >= 0, got {factor!r}")
+        if k[b, a] == 0.0:
+            raise ConfigError(
+                f"--corrupt-rate: the rate {a} -> {b} is zero, so scaling it injects no fault"
+            )
         # the diagonal cancels in flow - flow.T, so it is left as it is
         k = k.tolil()
         k[b, a] *= factor
@@ -461,7 +463,7 @@ def _suite_positivity(cfg: RunConfig | None, args) -> tuple[bool, dict]:
 def _suite_scaling(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     bath = cfg.require_bath() if cfg is not None else BathSpec(beta=1.0)
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [2, 3, 4, 5, 6]
-    result = n_scaling_experiment(sizes, bath, threads=args.threads)
+    result = n_scaling_experiment(sizes, bath)
     passed = result.r_squared >= 0.999
     return passed, {
         "sizes": list(result.sizes),
@@ -550,9 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("paper", "physical"),
         help="override the mode-density convention",
     )
-    common.add_argument(
-        "--threads", type=int, help="accepted for compatibility; sweeps run serially"
-    )
 
     parser = argparse.ArgumentParser(
         prog="stoclim",
@@ -582,11 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--boundary", choices=("open", "periodic"), default="open")
     p.add_argument("--mode", choices=("classical", "quantum"), default="classical")
-    p.add_argument(
-        "--observable",
-        default="magnetization",
-        help="headline observable (magnetization or energy)",
-    )
     p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--points", type=int)
     p.add_argument(

@@ -57,7 +57,8 @@ __all__ = [
     "trace_distance",
 ]
 
-#: per-sample bound on the trace drift before renormalisation aborts
+#: per-sample bound on the trace drift of a propagated state; beyond it
+#: ``evolve`` raises instead of returning the sample
 TRACE_DRIFT_BOUND = 1e-10
 
 #: connected components of a generator (quantum or classical) with up to this
@@ -66,13 +67,9 @@ TRACE_DRIFT_BOUND = 1e-10
 DENSE_KINETIC_STATES = 1024
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_floor: float = -1e-10,
-) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a state.
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity (to 1e-12 of ``max(1, |rho|_F)``), unit trace (to
+    1e-12) and positivity (no eigenvalue below -1e-10) of a state.
 
     Raises ``ValueError`` naming the offending quantity.  Returns the state
     as a complex ndarray.
@@ -84,13 +81,13 @@ def validate_density_matrix(
         raise ValueError("state has non-finite entries")
     scale = max(float(np.linalg.norm(rho)), 1.0)
     asym = float(np.linalg.norm(rho - dag(rho)))
-    if asym > herm_tol * scale:
+    if asym > 1e-12 * scale:
         raise ValueError(f"state not Hermitian: deviation {asym:.3e}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-12:
         raise ValueError(f"state trace {tr} differs from 1 by {abs(tr - 1.0):.3e}")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min())
-    if lo < psd_floor:
+    if lo < -1e-10:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
     return rho
 
@@ -139,15 +136,16 @@ def _normalise_times(times: Sequence[float]) -> np.ndarray:
     return t
 
 
-def _check_and_renormalise(rho: np.ndarray, where: str) -> np.ndarray:
-    rho = 0.5 * (rho + dag(rho))
+def _check_trace(rho: np.ndarray, where: str) -> np.ndarray:
+    """``rho`` unchanged, or ``RuntimeError`` when its trace has drifted from
+    one by more than ``TRACE_DRIFT_BOUND``."""
     tr = float(np.real(np.trace(rho)))
     # written so that a NaN trace counts as drift
     if not abs(tr - 1.0) <= TRACE_DRIFT_BOUND:
         raise RuntimeError(
             f"trace drifted to {tr!r} at {where}; integration accuracy lost"
         )
-    return rho / tr
+    return rho
 
 
 # Padé coefficients b_0..b_m of the degree-m diagonal approximant of exp
@@ -315,15 +313,16 @@ def evolve(gen: Generator, rho0: np.ndarray, times: Sequence[float]) -> Trajecto
     to sample on each connected component of the sparse superoperator that
     it touches (see :data:`DENSE_KINETIC_STATES`), so the grid may be
     non-uniform and an evenly spaced grid costs one exponential per block
-    size.  Each sample is rotated back, Hermitised and renormalised; a trace
-    drift beyond ``TRACE_DRIFT_BOUND`` raises ``RuntimeError``.
+    size.  Each sample is rotated back and returned as propagated: the
+    generator preserves trace and Hermiticity, so nothing is rescaled, and a
+    trace drift beyond ``TRACE_DRIFT_BOUND`` raises ``RuntimeError``.
     """
     rho0 = validate_density_matrix(rho0)
     t = _normalise_times(times)
     v = gen.spec.basis
     vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), t)
     states = [rho0] + [
-        _check_and_renormalise(v @ unvectorize(x, gen.dim) @ dag(v), f"t={tk}")
+        _check_trace(v @ unvectorize(x, gen.dim) @ dag(v), f"t={tk}")
         for tk, x in zip(t[1:], vecs[1:])
     ]
     return Trajectory(times=t, states=tuple(states))
@@ -344,12 +343,13 @@ class StationaryResult:
     basis: tuple
 
 
-def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult:
+def stationary_state(gen: Generator) -> StationaryResult:
     """Stationary state(s) of the generator from its null space.
 
     The null space is taken block by block in the energy eigenbasis, with
-    ``rank_tol`` relative to the largest singular value of the whole
-    superoperator, and its operator basis rotated back to the lab basis.
+    singular values up to 1e-9 of the largest of the whole superoperator
+    counting as zero (1e-7 when that finds none), and its operator basis
+    rotated back to the lab basis.
     It is the null space of the generator as assembled, which has no
     free-Hamiltonian term ``-i[H, rho]``, so a coherence that no channel and
     no shift touches counts as stationary although it rotates under H.  For
@@ -359,7 +359,7 @@ def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult
     """
     blocks = _Components(gen.superoperator)
     # numerically empty null space: relax once before giving up
-    ns = blocks.null_space(rank_tol) or blocks.null_space(1e-7)
+    ns = blocks.null_space(1e-9) or blocks.null_space(1e-7)
     if not ns:
         raise RuntimeError("no stationary state found (empty numerical null space)")
     v = gen.spec.basis
@@ -376,6 +376,10 @@ def stationary_state(gen: Generator, rank_tol: float = 1e-9) -> StationaryResult
     if lo < -1e-10:
         raise RuntimeError(f"stationary candidate not positive (min eig {lo:.3e})")
     return StationaryResult(ergodic=True, state=rho, basis=(rho,))
+
+
+# relative tolerance of the rate-matrix checks of ClassicalKineticSystem
+_RATE_TOL = 1e-10
 
 
 def _symmetry_defect(k: sparse.csc_matrix, perm) -> float:
@@ -415,23 +419,23 @@ class ClassicalKineticSystem:
         """The rate matrix as CSC, whether it was given dense or sparse."""
         return sparse.csc_matrix(self.rate_matrix, dtype=float)
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check finiteness, non-negative jump rates, zero column sums and
-        the declared symmetries, each to ``tol`` times ``max(1, max|K|)``;
+        the declared symmetries, each to 1e-10 times ``max(1, max|K|)``;
         raises ``ValueError`` naming the failed check."""
         k = self.as_csc()
         if not np.isfinite(k.data).all():
             raise ValueError("rate matrix has non-finite entries")
         scale = max(1.0, abs(k).max())
         lo = (k - sparse.diags(k.diagonal())).min()
-        if lo < -tol * scale:
+        if lo < -_RATE_TOL * scale:
             raise ValueError(f"negative off-diagonal rate {lo:.3e}")
         colsum = np.abs(k.sum(axis=0)).max()
-        if colsum > tol * scale:
+        if colsum > _RATE_TOL * scale:
             raise ValueError(f"columns do not sum to zero (max {colsum:.3e})")
         for i, perm in enumerate(self.symmetries):
             defect = _symmetry_defect(k, perm)
-            if not defect <= tol:
+            if not defect <= _RATE_TOL:
                 raise ValueError(
                     f"rate matrix is not invariant under symmetry {i} (defect {defect:.3e})"
                 )
@@ -535,17 +539,17 @@ def detailed_balance_residual(
 def gibbs_state(beta: float, spec: SpectralData) -> np.ndarray:
     """Thermal state ``exp(-beta H) / Z`` from spectral data.
 
-    Degenerate levels are weighted by projector rank; ``beta = inf`` gives
-    the normalised ground-level projector.
+    One rotation ``V diag(w) V^dag`` of the Boltzmann weights of the
+    eigenbasis columns, so degenerate levels are weighted by their rank;
+    ``beta = inf`` gives the normalised ground-level projector.
     """
-    en = spec.energies - spec.energies.min()
     if beta == math.inf:
-        p0 = spec.projectors[0]
-        return np.asarray(p0) / np.real(np.trace(p0))
-    weights = np.exp(-beta * en)
-    z = float(sum(w * spec.multiplicity(k) for k, w in enumerate(weights)))
-    rho = sum(w * p for w, p in zip(weights, spec.projectors)) / z
-    return np.asarray(rho, dtype=complex)
+        w = (spec.level_of_column == 0).astype(float)
+    else:
+        en = spec.energies - spec.energies.min()
+        w = np.exp(-beta * en[spec.level_of_column])
+    v = np.asarray(spec.basis, dtype=complex)
+    return (v * (w / w.sum())) @ dag(v)
 
 
 def gibbs_distribution(beta: float, energies: np.ndarray) -> np.ndarray:
@@ -567,12 +571,11 @@ def decay_fit(
     mu: int,
     nu: int,
     basis: np.ndarray | None = None,
-    floor: float = 1e-10,
 ) -> tuple[complex, float]:
     """Fit ``rho[mu, nu](t) = rho[mu, nu](0) exp(A t)`` by least squares.
 
     Works on the log of the matrix element restricted to the window where
-    its magnitude stays above ``floor``.  Returns ``(A, residual)`` with the
+    its magnitude stays above 1e-10.  Returns ``(A, residual)`` with the
     residual the rms log-domain misfit.  Raises if the initial magnitude is
     below 1e-8 (nothing to fit).
     """
@@ -581,7 +584,7 @@ def decay_fit(
         raise ValueError(
             f"matrix element ({mu},{nu}) starts at {abs(z[0]):.3e}; too small to fit"
         )
-    mask = np.abs(z) > floor
+    mask = np.abs(z) > 1e-10
     # use the leading contiguous window
     end = len(z)
     for k, ok in enumerate(mask):

@@ -485,11 +485,13 @@ class StructureMapSet:
 
     generator: Generator
 
-    def theta_minus(self, x: np.ndarray, j: int, channel: DissipationChannel) -> np.ndarray:
+    @staticmethod
+    def theta_minus(x: np.ndarray, j: int, channel: DissipationChannel) -> np.ndarray:
         a = dag(channel.lowering[j])
         return -1j * (x @ a - a @ x)
 
-    def theta_plus(self, x: np.ndarray, j: int, channel: DissipationChannel) -> np.ndarray:
+    @staticmethod
+    def theta_plus(x: np.ndarray, j: int, channel: DissipationChannel) -> np.ndarray:
         a = channel.lowering[j]
         return -1j * (x @ a - a @ x)
 

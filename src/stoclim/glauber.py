@@ -42,7 +42,7 @@ from .bath import (
     correlation_table,
     emission_rate,
 )
-from .evolution import DENSE_KINETIC_STATES, ClassicalKineticSystem, _symmetry_defect
+from .evolution import DENSE_KINETIC_STATES, ClassicalKineticSystem, _RATE_TOL, _symmetry_defect
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
@@ -371,7 +371,7 @@ def classical_glauber_generator(
     )
     system.validate()
     # validate's invariance test, kept candidates only
-    system.symmetries = tuple(p for p in candidates if _symmetry_defect(k, p) <= 1e-10)
+    system.symmetries = tuple(p for p in candidates if _symmetry_defect(k, p) <= _RATE_TOL)
     return system
 
 
@@ -492,7 +492,6 @@ def n_scaling_experiment(
     sizes: Sequence[int],
     bath: BathSpec,
     j_coupling: float = 1.0,
-    threads: int | None = None,
 ) -> ScalingResult:
     """Measure the all-up/all-down decay coefficient across ring sizes.
 
@@ -502,9 +501,6 @@ def n_scaling_experiment(
     convention values, which are exactly linear by construction; the
     measured column books the same flips at the full energy change, so
     the two columns differ in scale but share the linearity.
-
-    ``threads`` is accepted for compatibility and has no effect: the scan
-    runs serially (it takes a few tens of milliseconds).
     """
     sizes = tuple(int(n) for n in sizes)
     if any(n < 2 for n in sizes):

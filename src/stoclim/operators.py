@@ -24,6 +24,7 @@ derived spectral data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,11 @@ def matrix_unit(dim: int, mu: int, nu: int) -> np.ndarray:
     return out
 
 
-def validate_hermitian(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_hermitian(mat: np.ndarray) -> np.ndarray:
     """Check that ``mat`` is a square Hermitian matrix.
 
     Returns the matrix as a complex ndarray.  Raises ``ValueError`` naming
-    the largest offending entry if ``||M - M^dag||_F > tol * ||M||_F``.
+    the largest offending entry if ``||M - M^dag||_F > 1e-12 * ||M||_F``.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -78,7 +79,7 @@ def validate_hermitian(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         )
     diff = mat - dag(mat)
     norm = np.linalg.norm(mat)
-    bound = tol * max(norm, tol)
+    bound = 1e-12 * max(norm, 1e-12)
     err = np.linalg.norm(diff)
     if err > bound:
         idx = np.unravel_index(np.argmax(np.abs(diff)), diff.shape)
@@ -95,7 +96,6 @@ class SpectralData:
 
     Attributes:
         energies: strictly increasing level energies, one per cluster.
-        projectors: orthogonal projector per level (lab basis).
         basis: unitary whose columns are eigenvectors ordered by energy;
             within a degenerate level the column choice is the one returned
             by the dense eigensolver.
@@ -104,7 +104,6 @@ class SpectralData:
     """
 
     energies: np.ndarray
-    projectors: tuple
     basis: np.ndarray
     level_of_column: np.ndarray
     cluster_tol: float
@@ -126,15 +125,19 @@ class SpectralData:
         # clustering itself so that differences of clustered energies still hit.
         return max(self.cluster_tol, 1e-12)
 
+    @cached_property
+    def projectors(self) -> tuple:
+        """Orthogonal projector per level (lab basis), built from the basis
+        columns of that level on first use."""
+        blocks = (self.basis[:, self.level_of_column == k] for k in range(self.n_levels))
+        return tuple(b @ dag(b) for b in blocks)
+
     def validate(self) -> None:
-        """Assert completeness and orthogonality of the projectors."""
+        """Assert that the basis is unitary, so the level projectors are
+        complete and orthogonal."""
         d = self.dim
-        total = sum(self.projectors)
-        if np.linalg.norm(total - np.eye(d)) > 1e-12 * d:
-            raise ValueError("spectral projectors do not sum to the identity")
-        for k, p in enumerate(self.projectors):
-            if np.linalg.norm(p @ p - p) > 1e-12 * d:
-                raise ValueError(f"projector {k} is not idempotent")
+        if np.linalg.norm(dag(self.basis) @ self.basis - np.eye(d)) > 1e-12 * d:
+            raise ValueError("spectral basis is not unitary")
 
 
 def spectral_decompose(
@@ -158,16 +161,12 @@ def spectral_decompose(
         same = (vals[i] - vals[i - 1]) <= cluster_tol
         level_of_column[i] = level_of_column[i - 1] + (0 if same else 1)
 
-    energies = []
-    projectors = []
-    for lev in range(level_of_column[-1] + 1 if len(vals) else 0):
-        cols = np.nonzero(level_of_column == lev)[0]
-        energies.append(float(np.mean(vals[cols])))
-        block = vecs[:, cols]
-        projectors.append(block @ dag(block))
+    energies = [
+        float(np.mean(vals[level_of_column == lev]))
+        for lev in range(level_of_column[-1] + 1 if len(vals) else 0)
+    ]
     data = SpectralData(
         energies=np.asarray(energies),
-        projectors=tuple(projectors),
         basis=vecs,
         level_of_column=level_of_column,
         cluster_tol=float(cluster_tol),
@@ -303,17 +302,16 @@ def e_omega(
     return v @ ((dag(v) @ x @ v) * frequency_mask(spec, bohr.frequencies[k])) @ dag(v)
 
 
-def commutant_membership(
-    x: np.ndarray, spec: SpectralData, tol: float = 1e-10
-) -> tuple[bool, float]:
+def commutant_membership(x: np.ndarray, spec: SpectralData) -> tuple[bool, float]:
     """Whether ``x`` commutes with every spectral projector of ``spec``.
 
     Returns ``(member, residual)`` with residual the largest trace norm of a
-    commutator ``[x, P]`` over the spectral projectors.
+    commutator ``[x, P]`` over the spectral projectors, a member when it is
+    at most 1e-10.
     """
     x = np.asarray(x, dtype=complex)
     residual = 0.0
     for p in spec.projectors:
         comm = x @ p - p @ x
         residual = max(residual, float(np.linalg.svd(comm, compute_uv=False).sum()))
-    return residual <= tol, residual
+    return residual <= 1e-10, residual

@@ -243,6 +243,23 @@ def test_check_detects_injected_fault():
     assert "worst_pair" in doc
 
 
+@pytest.mark.parametrize(
+    "spin, beta, pair",
+    [
+        ({"sites": 12, "J": 1.0, "boundary": "periodic"}, 1.0, "5,0,0"),
+        ({"sites": 8, "J": 0.7, "boundary": "open"}, 0.5, "3,7,2"),
+    ],
+)
+def test_check_refuses_to_corrupt_a_zero_rate(tmp_path, spin, beta, pair):
+    # scaling a zero rate injects no fault, so the fixture must not report one
+    cfg = write_config(tmp_path / "ring.json", {"spin": spin, "bath": {"beta": beta}})
+    res = run_cli("check", "--suite", "detailed-balance", "--config", cfg, "--corrupt-rate", pair)
+    assert res.returncode == 2
+    a, b, _ = pair.split(",")
+    assert f"the rate {a} -> {b} is zero" in res.stderr
+    assert res.stdout == ""
+
+
 def test_check_unknown_suite():
     res = run_cli("check", "--suite", "telepathy")
     assert res.returncode == 2

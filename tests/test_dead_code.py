@@ -62,3 +62,25 @@ def test_private_definitions_are_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def test_every_parameter_is_read():
+    # the (cfg, args) signature is the CLI's dispatch contract for every
+    # suite, used or not; high_temperature_limit keeps omega because the
+    # acceptance gate passes the frequency the limit is taken at
+    allowed = {("_suite_", "cfg"), ("_suite_", "args"), ("high_temperature_limit", "omega")}
+    unread = []
+    for module, tree in parse_package().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            spec = node.args
+            params = [*spec.posonlyargs, *spec.args, *spec.kwonlyargs, spec.vararg, spec.kwarg]
+            read = set().union(*(names_read(stmt) for stmt in node.body))
+            for param in params:
+                if param is None or param.arg in read:
+                    continue
+                if any(node.name.startswith(f) and param.arg == p for f, p in allowed):
+                    continue
+                unread.append(f"{module}: {node.name}({param.arg})")
+    assert unread == []

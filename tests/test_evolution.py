@@ -22,8 +22,8 @@ from stoclim import (
     trace_distance,
     validate_density_matrix,
 )
-from stoclim.evolution import diagonal_restriction
-from stoclim.generator import apply_schroedinger
+from stoclim.evolution import _Components, diagonal_restriction
+from stoclim.generator import apply_schroedinger, unvectorize, vectorize
 from stoclim.operators import dag
 
 
@@ -87,6 +87,28 @@ def test_trajectory_structural_invariants():
             assert abs(np.trace(rho).imag) < 1e-10
             assert np.abs(rho - dag(rho)).max() < 1e-10
             assert np.linalg.eigvalsh(0.5 * (rho + dag(rho))).min() > -1e-10
+
+
+def test_evolve_returns_samples_as_propagated():
+    # no Hermitisation and no division by the trace: each sample is the
+    # propagated eigenbasis vector rotated back, to the last bit
+    rng = np.random.default_rng(63)
+    d = 4
+    spec = spectral_decompose(random_hermitian(rng, d))
+    bohr = bohr_frequencies(spec)
+    gen = build_generator(
+        spec,
+        [random_hermitian(rng, d)],
+        correlation_table(BathSpec(beta=0.8), bohr, 1),
+        bohr,
+    )
+    rho0 = random_density(rng, d)
+    times = np.linspace(0.0, 3.0 / gen.norm_scale(), 9)
+    traj = evolve(gen, rho0, times)
+    v = spec.basis
+    vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), times)
+    for rho, x in zip(traj.states[1:], vecs[1:]):
+        assert np.array_equal(rho, v @ unvectorize(x, d) @ dag(v))
 
 
 def test_gibbs_convergence():

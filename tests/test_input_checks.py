@@ -17,7 +17,7 @@ from stoclim import (
     spectral_decompose,
 )
 from stoclim import cli
-from stoclim.evolution import _check_and_renormalise, validate_density_matrix
+from stoclim.evolution import _check_trace, validate_density_matrix
 
 
 def two_level_config(tmp_path, **bath):
@@ -59,7 +59,7 @@ def test_density_matrix_with_nan_entry_rejected():
 
 def test_nan_trace_counts_as_drift():
     with pytest.raises(RuntimeError, match="trace drifted to nan"):
-        _check_and_renormalise(np.full((2, 2), np.nan, dtype=complex), "t=1.0")
+        _check_trace(np.full((2, 2), np.nan, dtype=complex), "t=1.0")
 
 
 def pv_reference(numerator, omega, cutoff, h=1e-3):

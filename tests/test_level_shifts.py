@@ -101,13 +101,6 @@ def test_jump_at_pole_is_divergent():
         principal_value_integral(lambda x: float(x < 1.0), 0.0, 2.0, 1.0)
 
 
-def test_excision_argument_is_ignored():
-    f = lambda x: math.exp(-x) * math.cos(x)
-    base = principal_value_integral(f, 0.0, 5.0, 1.3)
-    assert principal_value_integral(f, 0.0, 5.0, 1.3, excision=0.1) == base
-    assert principal_value_integral(f, 0.0, 5.0, 1.3, 1e-6) == base
-
-
 def test_pole_on_tabulated_node():
     # a pole on a break point of the numerator: quad never samples it
     kinked = TabulatedProfile(np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 2.0]))

@@ -229,6 +229,14 @@ def test_spectral_data_validate_roundtrip():
         spec.validate()
 
 
+def test_spectral_data_validate_rejects_a_non_unitary_basis():
+    spec = spectral_decompose(random_hermitian(np.random.default_rng(21), 4))
+    spec.basis = spec.basis.copy()
+    spec.basis[0, 0] += 1e-9
+    with pytest.raises(ValueError, match="not unitary"):
+        spec.validate()
+
+
 def loop_bohr_frequencies(energies, tol):
     """Reference: the pairwise loop over sorted level differences."""
     n = len(energies)
