@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +155,17 @@ def _load_profile(name, path: str, base_dir: str) -> TabulatedProfile:
     return TabulatedProfile(rho=rho, values=values)
 
 
-def _parse_spin(node, path: str) -> SpinChainSpec:
+def _check_fields(node, path: str, known) -> None:
+    """``node`` is an object whose keys are all in ``known``."""
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(node) - _SPIN_KEYS)
+    unknown = sorted(set(node) - set(known))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+
+
+def _parse_spin(node, path: str) -> SpinChainSpec:
+    _check_fields(node, path, _SPIN_KEYS)
     if "sites" not in node:
         raise ConfigError(f"{path}.sites: required")
     sites = node["sites"]
@@ -178,11 +184,7 @@ def _parse_spin(node, path: str) -> SpinChainSpec:
 
 
 def _parse_bath(node, path: str, base_dir: str) -> BathSpec:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(node) - _BATH_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+    _check_fields(node, path, _BATH_KEYS)
     if "beta" not in node:
         raise ConfigError(f"{path}.beta: required")
     beta = node["beta"]
@@ -232,6 +234,40 @@ def _parse_bath(node, path: str, base_dir: str) -> BathSpec:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# the largest finite float; the comparisons below are exact for integers too,
+# so an integer too large for a float is refused instead of overflowing
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _run_t_max(node, path: str) -> float:
+    """A finite t_max > 0; booleans and non-numbers are refused."""
+    if isinstance(node, bool) or not isinstance(node, (int, float)) or not 0 < node <= _FLOAT_MAX:
+        raise ConfigError(f"{path}: need a finite t_max > 0, got {node!r}")
+    return float(node)
+
+
+def _run_points(node, path: str) -> int:
+    """At least 2 points, an integral number (20 or 20.0), never truncated."""
+    if isinstance(node, bool) or not isinstance(node, (int, float)) or not (
+        2 <= node <= _FLOAT_MAX and node == int(node)
+    ):
+        raise ConfigError(f"{path}: expected an integer >= 2, got {node!r}")
+    return int(node)
+
+
+def _run_initial(node, path: str) -> str | int:
+    """'mixed', 'gibbs' or a basis index (an integer or its decimal string)."""
+    if isinstance(node, str) and re.fullmatch(r"-?[0-9]+", node):
+        node = int(node)
+    if node not in ("mixed", "gibbs") and (isinstance(node, bool) or not isinstance(node, int)):
+        raise ConfigError(f"{path}: expected 'mixed', 'gibbs' or a basis index, got {node!r}")
+    return node
+
+
+# the run block's checks, which the command-line flags go through too
+_RUN_FIELDS = {"t_max": _run_t_max, "points": _run_points, "initial": _run_initial}
+
+
 def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     """Validate a configuration document and build the runtime objects."""
     if not isinstance(doc, dict):
@@ -277,8 +313,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         spin = _parse_spin(doc["spin"], "spin")
     bath = _parse_bath(doc["bath"], "bath", base_dir) if "bath" in doc else None
     run = doc.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run: expected an object")
+    _check_fields(run, "run", _RUN_FIELDS)
+    run = {key: _RUN_FIELDS[key](value, f"run.{key}") for key, value in run.items()}
     return RunConfig(
         hamiltonian=hamiltonian,
         couplings=couplings,

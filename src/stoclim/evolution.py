@@ -62,8 +62,7 @@ __all__ = [
 TRACE_DRIFT_BOUND = 1e-10
 
 #: connected components of a generator (quantum or classical) with up to this
-#: many states step with dense propagators, larger ones with expm_multiply;
-#: the Glauber generator hands out rate matrices of up to this size dense
+#: many states step with dense propagators, larger ones with expm_multiply
 DENSE_KINETIC_STATES = 1024
 
 
@@ -391,39 +390,45 @@ def _symmetry_defect(k: sparse.csc_matrix, perm) -> float:
     return float(abs(k[perm][:, perm] - k).max()) / max(1.0, abs(k).max())
 
 
+class _RateMatrix(sparse.csc_matrix):
+    """A CSC matrix that ``np.asarray`` reads as its dense array, as dense-K callers expect."""
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the dense form of a sparse rate matrix is always a copy")
+        return self.toarray().astype(float if dtype is None else dtype, copy=False)
+
+
 @dataclass(eq=False)
 class ClassicalKineticSystem:
     """Jump process on the population sector.
 
     ``rate_matrix`` is the column generator: ``K[b, a]`` is the jump rate
     a -> b for ``b != a`` and each diagonal entry is minus the total outflow,
-    so columns sum to zero and ``dp/dt = K p``.  ``symmetries`` holds state
-    permutations (index arrays) under which K is invariant,
-    ``K[perm][:, perm] == K``; :meth:`evolve` propagates on their orbits
-    when the start is invariant too.
+    so columns sum to zero and ``dp/dt = K p``.  It is held as a float CSC
+    matrix, converted once from whatever (dense or sparse) is given;
+    ``np.asarray`` reads it as the dense array.
+    ``symmetries`` holds state permutations (index arrays) under which K is
+    invariant, ``K[perm][:, perm] == K``; :meth:`evolve` propagates on their
+    orbits when the start is invariant too.
     """
 
-    labels: tuple
     energies: np.ndarray
-    rate_matrix: np.ndarray | sparse.spmatrix
+    rate_matrix: sparse.csc_matrix
     symmetries: tuple = ()
+
+    def __post_init__(self) -> None:
+        self.rate_matrix = _RateMatrix(self.rate_matrix, dtype=float)
 
     @property
     def size(self) -> int:
-        return len(self.labels)
-
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.rate_matrix)
-
-    def as_csc(self) -> sparse.csc_matrix:
-        """The rate matrix as CSC, whether it was given dense or sparse."""
-        return sparse.csc_matrix(self.rate_matrix, dtype=float)
+        return self.rate_matrix.shape[0]
 
     def validate(self) -> None:
         """Check finiteness, non-negative jump rates, zero column sums and
         the declared symmetries, each to 1e-10 times ``max(1, max|K|)``;
         raises ``ValueError`` naming the failed check."""
-        k = self.as_csc()
+        k = self.rate_matrix
         if not np.isfinite(k.data).all():
             raise ValueError("rate matrix has non-finite entries")
         scale = max(1.0, abs(k).max())
@@ -467,12 +472,12 @@ class ClassicalKineticSystem:
         _, orbit = connected_components(moves, connection="weak")
         sizes = np.bincount(orbit)
         lump = sparse.csr_matrix((np.ones(self.size), (orbit, states)))
-        q = lump @ self.as_csc() @ lump.T @ sparse.diags(1.0 / sizes)
+        q = lump @ self.rate_matrix @ lump.T @ sparse.diags(1.0 / sizes)
         return _Components(q).propagate(lump @ p0, times)[:, orbit] / sizes[orbit]
 
     def stationary(self) -> np.ndarray:
         """Normalised stationary distribution (null space per component)."""
-        ns = _Components(self.as_csc()).null_space(1e-10)
+        ns = _Components(self.rate_matrix).null_space(1e-10)
         if len(ns) != 1:
             raise RuntimeError(f"kinetic stationary distribution not unique (dim {len(ns)})")
         p = ns[0]
@@ -511,15 +516,12 @@ def diagonal_restriction(
     pops = sparse.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d)
     )
-    w = np.real((pops.conj().T @ gen.superoperator @ pops).toarray())
-    np.fill_diagonal(w, 0.0)
-    k = w.copy()
-    k[np.diag_indices(d)] = -w.sum(axis=0)
+    k = np.real((pops.conj().T @ gen.superoperator @ pops).toarray())
+    np.fill_diagonal(k, 0.0)
+    np.fill_diagonal(k, -k.sum(axis=0))
     # <r_a| H |r_a> in the eigenbasis, where H is diagonal
     energies = (np.abs(r) ** 2).T @ gen.spec.energies[gen.spec.level_of_column]
-    cks = ClassicalKineticSystem(
-        labels=tuple(range(d)), energies=energies, rate_matrix=k
-    )
+    cks = ClassicalKineticSystem(energies=energies, rate_matrix=k)
     cks.validate()
     return cks
 
@@ -532,7 +534,7 @@ def detailed_balance_residual(
     ``max over connected pairs |p_a W[a->b] - p_b W[b->a]|``.
     """
     # flow[b, a] = W[a->b] p_a; the diagonal cancels in flow - flow.T
-    flow = cks.as_csc() @ sparse.diags(np.asarray(dist, dtype=float))
+    flow = cks.rate_matrix @ sparse.diags(np.asarray(dist, dtype=float))
     return float(abs(flow - flow.T).max())
 
 

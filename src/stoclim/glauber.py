@@ -42,7 +42,7 @@ from .bath import (
     correlation_table,
     emission_rate,
 )
-from .evolution import DENSE_KINETIC_STATES, ClassicalKineticSystem, _RATE_TOL, _symmetry_defect
+from .evolution import ClassicalKineticSystem, _RATE_TOL, _symmetry_defect
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
@@ -327,8 +327,7 @@ def classical_glauber_generator(
     negative or non-finite rate raises ``BathDomainError``.  Each distinct
     (site, released energy), computed as in :func:`energy_release`, is
     rated once; the rates form one CSC matrix with columns summing to zero
-    (``dp/dt = K p``), handed out dense up to ``DENSE_KINETIC_STATES``
-    (2^10) configurations and sparse beyond.  Energy-neutral flips have zero
+    (``dp/dt = K p``) at every chain length.  Energy-neutral flips have zero
     rate, so K can split into disconnected components (9 on the 12-ring,
     the all-up one with 1,848 states); the solvers treat each on its own.
 
@@ -364,11 +363,7 @@ def classical_glauber_generator(
     candidates = [mirror]
     if cs.boundary == "periodic":
         candidates.append((configs >> 1) | ((configs & 1) << (n - 1)))
-    system = ClassicalKineticSystem(
-        labels=tuple(range(size)),
-        energies=configuration_energies(cs),
-        rate_matrix=k.toarray() if size <= DENSE_KINETIC_STATES else k,
-    )
+    system = ClassicalKineticSystem(energies=configuration_energies(cs), rate_matrix=k)
     system.validate()
     # validate's invariance test, kept candidates only
     system.symmetries = tuple(p for p in candidates if _symmetry_defect(k, p) <= _RATE_TOL)

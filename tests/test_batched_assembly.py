@@ -351,7 +351,7 @@ def test_population_block_in_a_rotated_degenerate_basis():
     want = np.real(pops.conj().T @ gen.superoperator.toarray() @ pops)
     np.fill_diagonal(want, 0.0)
     np.fill_diagonal(want, -want.sum(axis=0))
-    got = np.asarray(diagonal_restriction(gen, basis=basis).rate_matrix)
+    got = diagonal_restriction(gen, basis=basis).rate_matrix.toarray()
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -367,5 +367,5 @@ def test_population_block_with_large_shifts_in_a_rotated_degenerate_basis():
     assert np.abs(gen.h_shift).max() > 1e6
     mix = np.eye(spec.dim, dtype=complex)
     mix[1:3, 1:3] = random_unitary(np.random.default_rng(75), 2)
-    k = np.asarray(diagonal_restriction(gen, basis=spec.basis @ mix).rate_matrix)
+    k = diagonal_restriction(gen, basis=spec.basis @ mix).rate_matrix.toarray()
     assert -1e-8 < min(k[1, 2], k[2, 1]) < -1e-10

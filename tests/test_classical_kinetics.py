@@ -60,7 +60,7 @@ def chains():
 def test_assembly_matches_scalar_reference():
     for cs, form_factors in chains():
         bath = BathSpec(beta=0.8, form_factors=form_factors)
-        k = classical_glauber_generator(cs, bath).as_csc().toarray()
+        k = classical_glauber_generator(cs, bath).rate_matrix.toarray()
         ref = reference_rate_matrix(cs, bath)
         off = ~np.eye(cs.dim, dtype=bool)
         assert np.array_equal(k[off], ref[off]), (cs, form_factors)
@@ -68,10 +68,35 @@ def test_assembly_matches_scalar_reference():
         assert np.all(np.abs(diag - want) <= 1e-15 * np.abs(want)), cs
 
 
+@pytest.mark.parametrize("n_sites", [4, 11])
+def test_glauber_rate_matrix_is_one_float_csc(n_sites):
+    # either side of 2^10 configurations: one format at every size
+    cs = SpinChainSpec(n_sites=n_sites, coupling=1.0, boundary="periodic")
+    bath = BathSpec(beta=0.8)
+    k = classical_glauber_generator(cs, bath).rate_matrix
+    assert isinstance(k, sparse.csc_matrix) and k.dtype == np.float64
+    k, ref = k.toarray(), reference_rate_matrix(cs, bath)
+    off = ~np.eye(cs.dim, dtype=bool)
+    assert np.array_equal(k[off], ref[off])
+    assert np.all(np.abs(np.diag(k) - np.diag(ref)) <= 1e-15 * np.abs(np.diag(ref)))
+
+
+def test_constructor_holds_a_dense_rate_matrix_as_float_csc():
+    k = np.array([[-1, 2, 0], [1, -3, 5], [0, 1, -5]])
+    cks = ClassicalKineticSystem(energies=np.zeros(3), rate_matrix=k)
+    assert isinstance(cks.rate_matrix, sparse.csc_matrix)
+    assert cks.rate_matrix.dtype == np.float64
+    assert np.array_equal(cks.rate_matrix.toarray(), k)
+    # numpy reads the CSC as the dense array, as it read the dense form
+    assert np.array_equal(np.asarray(cks.rate_matrix), k)
+    assert np.asarray(cks.rate_matrix, dtype=complex).dtype == complex
+    assert cks.size == 3
+
+
 def test_no_stored_zeros():
     # frozen configurations carry no diagonal entry
     cs = SpinChainSpec(n_sites=8, coupling=1.0, boundary="periodic")
-    k = classical_glauber_generator(cs, BathSpec(beta=1.0)).as_csc()
+    k = classical_glauber_generator(cs, BathSpec(beta=1.0)).rate_matrix
     assert np.all(k.data != 0.0)
 
 
@@ -92,7 +117,7 @@ def test_eight_ring_trajectory_matches_symmetrised_reference(beta, t_max, tol):
     p0[0] = 1.0
     times = np.linspace(0.0, t_max, 100)
     ref = symmetrised_reference(
-        cks.as_csc().toarray(), gibbs_distribution(beta, cks.energies), p0, times
+        cks.rate_matrix.toarray(), gibbs_distribution(beta, cks.energies), p0, times
     )
     got = cks.evolve(p0, times)
     assert got.shape == (100, cs.dim)
@@ -128,7 +153,7 @@ def test_sparse_stepping_matches_symmetrised_reference():
     half = np.sqrt(weights)
     off = sparse.diags(half) @ sym @ sparse.diags(1.0 / half)
     k = sparse.csc_matrix(off - sparse.diags(np.asarray(off.sum(axis=0)).ravel()))
-    cks = ClassicalKineticSystem(labels=tuple(range(n)), energies=np.zeros(n), rate_matrix=k)
+    cks = ClassicalKineticSystem(energies=np.zeros(n), rate_matrix=k)
     cks.validate()
     p0 = np.zeros(n)
     p0[0] = 1.0
@@ -151,15 +176,10 @@ def test_evolve_rejects_negative_or_unsorted_times():
     assert np.array_equal(dist[1], dist[2])
 
 
-@pytest.mark.parametrize("as_sparse", [False, True])
-def test_validate_rejects_nan_rate(as_sparse):
+def test_validate_rejects_nan_rate():
     k = np.array([[-1.0, 2.0], [1.0, -2.0]])
     k[1, 0] = math.nan
-    cks = ClassicalKineticSystem(
-        labels=(0, 1),
-        energies=np.zeros(2),
-        rate_matrix=sparse.csc_matrix(k) if as_sparse else k,
-    )
+    cks = ClassicalKineticSystem(energies=np.zeros(2), rate_matrix=k)
     with pytest.raises(ValueError, match="non-finite"):
         cks.validate()
 
@@ -169,7 +189,7 @@ def test_validate_floor_is_relative_to_the_largest_rate(scale):
     # rounding below 1e-10 of the largest rate passes, a real negative rate fails
     def system(off):
         k = scale * np.array([[-1.0, off], [1.0, -off]])
-        return ClassicalKineticSystem(labels=(0, 1), energies=np.zeros(2), rate_matrix=k)
+        return ClassicalKineticSystem(energies=np.zeros(2), rate_matrix=k)
 
     system(-0.9e-10).validate()
     for off in (-1.1e-10, -1e-3):

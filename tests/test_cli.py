@@ -218,6 +218,22 @@ def test_glauber_from_config(tmp_path):
     assert rows.shape[0] == 3
 
 
+def test_glauber_takes_times_from_the_config_run_block(tmp_path):
+    cfg = write_config(
+        tmp_path / "spin.json",
+        {
+            "spin": {"sites": 2, "J": 1.0, "boundary": "open"},
+            "bath": {"beta": 1.0},
+            "run": {"t_max": 1.0, "points": 3},
+        },
+    )
+    res = run_cli("glauber", "--config", cfg)
+    assert res.returncode == 0
+    _, rows = parse_csv(res.stdout)
+    assert rows.shape[0] == 3
+    assert rows[-1, 0] == 1.0
+
+
 def test_check_suites_pass():
     for suite in (
         "detailed-balance",

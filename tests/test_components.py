@@ -116,7 +116,7 @@ def test_null_space_threshold_is_relative_to_the_whole_matrix():
     fast = np.array([[-1.0, 2.0], [1.0, -2.0]])
     k = sparse.csc_matrix(sparse.block_diag([fast, 1e-12 * fast]))
     assert assert_same_null_space(k, 1e-10) == 3
-    cks = ClassicalKineticSystem(labels=tuple(range(4)), energies=np.zeros(4), rate_matrix=k)
+    cks = ClassicalKineticSystem(energies=np.zeros(4), rate_matrix=k)
     with pytest.raises(RuntimeError, match=r"not unique \(dim 3\)"):
         cks.stationary()
 

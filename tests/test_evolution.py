@@ -205,9 +205,7 @@ def test_stationary_state_nonergodic_sector():
 def test_kinetic_two_state_closed_form():
     down, up = 3.0, 1.0
     k = np.array([[-up, down], [up, -down]])
-    cks = ClassicalKineticSystem(
-        labels=(0, 1), energies=np.array([0.0, 1.0]), rate_matrix=k
-    )
+    cks = ClassicalKineticSystem(energies=np.array([0.0, 1.0]), rate_matrix=k)
     cks.validate()
     p = cks.evolve(np.array([1.0, 0.0]), [0.0, 0.1, 1.0, 10.0])
     rate = down + up
@@ -222,15 +220,11 @@ def test_kinetic_two_state_closed_form():
 
 def test_kinetic_validation_errors():
     bad_off = np.array([[-1.0, -0.5], [1.0, 0.5]])
-    cks = ClassicalKineticSystem(
-        labels=(0, 1), energies=np.zeros(2), rate_matrix=bad_off
-    )
+    cks = ClassicalKineticSystem(energies=np.zeros(2), rate_matrix=bad_off)
     with pytest.raises(ValueError):
         cks.validate()
     bad_sum = np.array([[-1.0, 2.0], [1.0, -1.0]])
-    cks = ClassicalKineticSystem(
-        labels=(0, 1), energies=np.zeros(2), rate_matrix=bad_sum
-    )
+    cks = ClassicalKineticSystem(energies=np.zeros(2), rate_matrix=bad_sum)
     with pytest.raises(ValueError):
         cks.validate()
 
@@ -243,13 +237,8 @@ def test_kinetic_sparse_path():
             [0.0, 1.0, -0.5],
         ]
     )
-    dense = ClassicalKineticSystem(
-        labels=(0, 1, 2), energies=np.zeros(3), rate_matrix=k
-    )
-    sp = ClassicalKineticSystem(
-        labels=(0, 1, 2), energies=np.zeros(3), rate_matrix=sparse.csc_matrix(k)
-    )
-    assert sp.is_sparse() and not dense.is_sparse()
+    dense = ClassicalKineticSystem(energies=np.zeros(3), rate_matrix=k)
+    sp = ClassicalKineticSystem(energies=np.zeros(3), rate_matrix=sparse.csc_matrix(k))
     sp.validate()
     p0 = np.array([1.0, 0.0, 0.0])
     times = [0.0, 0.3, 2.0]
@@ -265,13 +254,11 @@ def test_detailed_balance_residual():
     p_g = gibbs_distribution(1.0, cks.energies)
     assert detailed_balance_residual(cks, p_g) < 1e-12 * gen.norm_scale()
     # corrupting one rate shows up as a finite violation
-    k = np.asarray(cks.rate_matrix).copy()
+    k = cks.rate_matrix.toarray()
     k[1, 0] *= 1.5
     k[0, 0] = k[1, 1] = 0.0
     np.fill_diagonal(k, -k.sum(axis=0))
-    broken = ClassicalKineticSystem(
-        labels=cks.labels, energies=cks.energies, rate_matrix=k
-    )
+    broken = ClassicalKineticSystem(energies=cks.energies, rate_matrix=k)
     broken.validate()
     assert detailed_balance_residual(broken, p_g) > 1.0
 
@@ -309,15 +296,24 @@ def test_trace_distance_basics():
     assert trace_distance(c, a) == pytest.approx(0.4)
 
 
+def test_diagonal_restriction_holds_a_float_csc():
+    gen, spec = two_level_generator(beta=1.0)
+    k = diagonal_restriction(gen).rate_matrix
+    assert isinstance(k, sparse.csc_matrix) and k.dtype == np.float64
+    ch = gen.channels[0]
+    down, up = ch.gamma_minus[0, 0].real, ch.gamma_plus[0, 0].real
+    assert np.array_equal(k.toarray(), [[-up, down], [up, -down]])
+
+
 def test_diagonal_restriction_basis_choice():
     gen, spec = two_level_generator(beta=1.0)
     eig = diagonal_restriction(gen)
     lab = diagonal_restriction(gen, basis=np.eye(2, dtype=complex))
     # diagonal Hamiltonian: both bases describe the same jump process
-    assert np.abs(np.asarray(eig.rate_matrix) - np.asarray(lab.rate_matrix)).max() < 1e-12
+    assert np.abs(eig.rate_matrix.toarray() - lab.rate_matrix.toarray()).max() < 1e-12
     assert np.allclose(eig.energies, [0.0, 1.0])
     ch = gen.channels[0]
-    k = np.asarray(eig.rate_matrix)
+    k = eig.rate_matrix.toarray()
     assert k[0, 1] == pytest.approx(ch.gamma_minus[0, 0].real)
     assert k[1, 0] == pytest.approx(ch.gamma_plus[0, 0].real)
 

@@ -130,14 +130,14 @@ def test_overflowing_step_converges_to_the_component_gibbs_distribution():
     cs = SpinChainSpec(n_sites=4, coupling=1.0, boundary="periodic")
     cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
     p0 = np.eye(cks.size)[0]
-    for system in (cks, ClassicalKineticSystem(cks.labels, cks.energies, cks.rate_matrix)):
+    for system in (cks, ClassicalKineticSystem(cks.energies, cks.rate_matrix)):
         dist = system.evolve(p0, [0.0, 1e4, 1e300])
         assert np.isfinite(dist).all()
         assert np.abs(dist.sum(axis=1) - 1.0).max() <= 1e-14
         assert np.abs(dist[2] - dist[1]).max() <= 1e-12
     # flips that cost no energy have no rate, so the start's component keeps
     # its own Gibbs weights
-    _, comp = connected_components(cks.as_csc() != 0, connection="weak")
+    _, comp = connected_components(cks.rate_matrix != 0, connection="weak")
     want = np.where(comp == comp[0], gibbs_distribution(1.0, cks.energies), 0.0)
     assert np.abs(dist[2] - want / want.sum()).max() <= 1e-12
 

@@ -163,6 +163,33 @@ def test_cli_accepts_integral_point_counts(tmp_path, capsys, points):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_max", [1]),
+        ("t_max", True),
+        ("t_max", "1"),
+        pytest.param("t_max", 10**400, id="t_max-10**400"),
+        pytest.param("points", 10**400, id="points-10**400"),
+        ("initial", True),
+        ("initial", 1.0),
+        ("initial", "--1"),
+        pytest.param("initial", "\u00b2", id="initial-superscript-two"),
+        ("t_mx", 1.0),
+    ],
+)
+def test_cli_rejects_bad_run_fields(tmp_path, capsys, field, value):
+    doc = json.loads(open(two_level_config(tmp_path)).read())
+    doc["run"] = {"points": 3, field: value}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["evolve", "--config", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert f"run.{field}" in out.err
+
+
+@pytest.mark.parametrize(
     "fault", ["100,0,2", "0,16,2", "-1,0,2", "0,-3,2", "3,3,2", "0,1,-1", "0,1,nan", "0,1,inf"]
 )
 def test_cli_rejects_bad_corrupt_rate(capsys, fault):
@@ -172,6 +199,23 @@ def test_cli_rejects_bad_corrupt_rate(capsys, fault):
     assert code == 2
     assert out.out == ""
     assert "--corrupt-rate" in out.err
+
+
+def test_cli_refuses_a_corrupt_rate_factor_of_one(capsys):
+    # scaling a rate by 1 leaves detailed balance as it is
+    code = cli.main(["check", "--suite", "detailed-balance", "--corrupt-rate", "0,1,1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "factor on 0 -> 1 must be finite, >= 0, not 1, got 1.0" in out.err
+
+
+def test_cli_coherence_control_refuses_a_config(tmp_path, capsys):
+    code = cli.main(["check", "--suite", "coherence-control", "--config", two_level_config(tmp_path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "coherence-control" in out.err and "no --config" in out.err
 
 
 @pytest.mark.parametrize("fault, injected", [("15,14,0", [15, 14, 0.0]), ("0,1,2.5", [0, 1, 2.5])])
@@ -236,7 +280,7 @@ def test_detailed_balance_suite_on_12_sites_stays_sparse(tmp_path, capsys, fault
     cks = classical_glauber_generator(
         SpinChainSpec(n_sites=12, coupling=1.0, boundary="periodic"), BathSpec(beta=1.0)
     )
-    k = cks.as_csc().tolil()
+    k = cks.rate_matrix.tolil()
     if fault:
         a, b, factor = fault.split(",")
         k[int(b), int(a)] *= float(factor)

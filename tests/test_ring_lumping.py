@@ -26,7 +26,7 @@ from stoclim import evolution
 
 
 def unreduced(cks):
-    return ClassicalKineticSystem(cks.labels, cks.energies, cks.rate_matrix)
+    return ClassicalKineticSystem(cks.energies, cks.rate_matrix)
 
 
 def delta(size, index):
@@ -81,7 +81,7 @@ def test_lumped_error_against_a_40_digit_reference():
     n, beta = 8, 3.0
     cs = SpinChainSpec(n_sites=n, coupling=1.0, boundary="periodic")
     cks = classical_glauber_generator(cs, BathSpec(beta=beta))
-    k = cks.as_csc().toarray()
+    k = cks.rate_matrix.toarray()
     times = np.linspace(0.0, 1e3, 100)
     orbit = ring_orbits(n)
     _, comp = connected_components(k != 0, connection="weak")
@@ -196,8 +196,8 @@ def test_wrongly_declared_symmetry_is_rejected():
     idx = np.arange(cks.size)
     rotation = (idx >> 1) | ((idx & 1) << 5)
     for perm in (rotation, idx[:-1], np.zeros_like(idx)):
-        bad = ClassicalKineticSystem(cks.labels, cks.energies, cks.rate_matrix, (idx, perm))
+        bad = ClassicalKineticSystem(cks.energies, cks.rate_matrix, (idx, perm))
         with pytest.raises(ValueError, match="not invariant under symmetry 1"):
             bad.validate()
     # the identity holds for any rate matrix
-    ClassicalKineticSystem(cks.labels, cks.energies, cks.rate_matrix, (idx,)).validate()
+    ClassicalKineticSystem(cks.energies, cks.rate_matrix, (idx,)).validate()
