@@ -253,16 +253,10 @@ def _times(args, cfg: RunConfig | None) -> np.ndarray:
 def cmd_evolve(args) -> int:
     cfg = _require_config(args)
     gen = _build_from_config(cfg)
-    spec = gen.spec
-    rho0 = _initial_state(cfg, args, spec)
-    times = _times(args, cfg)
-    traj = evolve(gen, rho0, times)
-    v = spec.basis
-    # states in the eigenbasis, energy-ordered
-    header, columns = _re_im(
-        [f"{mu}_{nu}" for mu in range(spec.dim) for nu in range(spec.dim)],
-        [dag(v) @ rho @ v for rho in traj.states],
-    )
+    d = gen.dim
+    traj = evolve(gen, _initial_state(cfg, args, gen.spec), _times(args, cfg))
+    # states in the eigenbasis, energy-ordered, as propagated
+    header, columns = _re_im([f"{mu}_{nu}" for mu in range(d) for nu in range(d)], traj.samples)
     _write_csv(args, ["t", *header], np.column_stack([traj.times, columns]))
     return 0
 
@@ -314,13 +308,12 @@ def cmd_glauber(args) -> int:
         gen = quantum_glauber_generator(cs, bath)
         rho0 = np.zeros((cs.dim, cs.dim), dtype=complex)
         rho0[idx, idx] = 1.0
-        traj = evolve(gen, rho0, times)
+        states = evolve(gen, rho0, times).states
+        diag = np.diagonal(states, axis1=1, axis2=2)
+        pops = np.real(diag)
+        l1 = np.abs(states).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
         header = ["t", "magnetization", "energy", "offdiag_l1"]
-        table = []
-        for t, rho in zip(traj.times, traj.states):
-            pops = np.real(np.diag(rho))
-            l1 = np.abs(rho).sum() - np.abs(np.diag(rho)).sum()
-            table.append((t, mags @ pops, energies @ pops, l1))
+        table = [(t, mags @ p, energies @ p, c) for t, p, c in zip(times, pops, l1)]
     _write_csv(args, header, table)
     return 0
 
@@ -343,7 +336,7 @@ def _suite_detailed_balance(cfg: RunConfig | None, args) -> tuple[bool, dict]:
         raise ConfigError("detailed balance needs a finite temperature")
     k = cks.rate_matrix
     injected = None
-    if args.corrupt_rate:
+    if args.corrupt_rate is not None:
         try:
             a_s, b_s, f_s = args.corrupt_rate.split(",")
             a, b, factor = int(a_s), int(b_s), float(f_s)
@@ -415,8 +408,7 @@ def _suite_positivity(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     if cfg is not None:
         gen = _build_from_config(cfg)
     else:
-        cs, bath = _default_spin_config()
-        gen = quantum_glauber_generator(cs, bath)
+        gen = quantum_glauber_generator(*_default_spin_config())
     rng = np.random.default_rng(2617)
     d = gen.dim
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -424,16 +416,18 @@ def _suite_positivity(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     rho0 /= np.real(np.trace(rho0))
     scale = gen.norm_scale()
     times = np.linspace(0.0, 5.0 / scale, 21)
-    traj = evolve(gen, rho0, times)
-    lo = min(
-        float(np.linalg.eigvalsh(0.5 * (r + dag(r))).min()) for r in traj.states
-    )
+    # the spectrum of a state does not depend on the basis
+    samples = evolve(gen, rho0, times).samples
+    lo = float(np.linalg.eigvalsh(0.5 * (samples + samples.conj().swapaxes(1, 2))).min())
     return lo >= -1e-10, {"min_eigenvalue": lo, "floor": -1e-10}
 
 
 def _suite_scaling(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     bath = cfg.require_bath() if cfg is not None else BathSpec(beta=1.0)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [2, 3, 4, 5, 6]
+    try:
+        sizes = [2, 3, 4, 5, 6] if args.sizes is None else [int(s) for s in args.sizes.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--sizes wants comma-separated ring sizes, got {args.sizes!r}") from exc
     result = n_scaling_experiment(sizes, bath)
     passed = result.r_squared >= 0.999
     return passed, {
@@ -499,6 +493,11 @@ _SUITES = {
 
 
 def cmd_check(args) -> int:
+    # each fixture flag belongs to one suite; elsewhere it would do nothing
+    if args.sizes is not None and args.suite != "scaling":
+        raise ConfigError("--sizes applies only to --suite scaling")
+    if args.corrupt_rate is not None and args.suite != "detailed-balance":
+        raise ConfigError("--corrupt-rate applies only to --suite detailed-balance")
     cfg = _load(args)
     passed, report = _SUITES[args.suite](cfg, args)
     doc = {"suite": args.suite, "passed": bool(passed)}

@@ -1,7 +1,9 @@
 """Time evolution, stationary states, and classical kinetic restrictions.
 
 States are plain complex ndarrays validated by
-:func:`validate_density_matrix`; trajectories bundle times with states.
+:func:`validate_density_matrix`; a trajectory holds its samples as
+propagated, one energy-eigenbasis stack, of which every other form is one
+rotation.
 The diagonal (population) sector of the generator is a classical jump
 process; :func:`diagonal_restriction` extracts its rate matrix, whose
 stationary distribution for a thermal reservoir is the Gibbs distribution
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,58 +96,47 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Sampled solution of the master equation."""
+    """Sampled solution of the master equation: ``samples[k]`` is the state
+    at ``times[k]`` in the energy eigenbasis, the columns V of ``basis``.
+    ``states``, ``populations`` and ``matrix_element`` are views of that
+    stack, each one batched rotation."""
 
     times: np.ndarray
-    states: tuple
+    samples: np.ndarray
+    basis: np.ndarray
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Lab-basis states ``V samples V^dag``, (len(times), dim, dim), on first use."""
+        return self._in_basis(None)
+
+    def _in_basis(self, basis: np.ndarray | None) -> np.ndarray:
+        """The stack in an orthonormal basis (columns), the lab basis for None:
+        ``W^dag samples W`` with ``W = V^dag basis``."""
+        w = dag(self.basis) if basis is None else dag(self.basis) @ basis
+        return dag(w) @ self.samples @ w
 
     def populations(self, basis: np.ndarray | None = None) -> np.ndarray:
-        """Diagonal of each state, optionally in the given orthonormal basis.
-
-        Returns an array of shape (len(times), dim).
-        """
-        out = []
-        for rho in self.states:
-            if basis is not None:
-                rho = dag(basis) @ rho @ basis
-            out.append(np.real(np.diag(rho)))
-        return np.asarray(out)
+        """Diagonal of each state, optionally in the given orthonormal basis,
+        shape (len(times), dim)."""
+        return np.real(np.diagonal(self._in_basis(basis), axis1=1, axis2=2))
 
     def matrix_element(self, mu: int, nu: int, basis: np.ndarray | None = None) -> np.ndarray:
-        vals = []
-        for rho in self.states:
-            if basis is not None:
-                rho = dag(basis) @ rho @ basis
-            vals.append(rho[mu, nu])
-        return np.asarray(vals)
-
-    def expectation(self, observable: np.ndarray) -> np.ndarray:
-        return np.asarray([complex(np.trace(observable @ rho)) for rho in self.states])
+        """``rho[mu, nu]`` at each time, optionally in the given orthonormal basis."""
+        return self._in_basis(basis)[:, mu, nu]
 
 
-def _normalise_times(times: Sequence[float]) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or len(t) == 0:
-        raise ValueError("times must be a non-empty 1-d sequence")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if t[0] < 0:
-        raise ValueError("times must be non-negative")
-    if t[0] > 0:
-        t = np.concatenate(([0.0], t))
-    return t
-
-
-def _check_trace(rho: np.ndarray, where: str) -> np.ndarray:
-    """``rho`` unchanged, or ``RuntimeError`` when its trace has drifted from
-    one by more than ``TRACE_DRIFT_BOUND``."""
-    tr = float(np.real(np.trace(rho)))
+def _check_trace(samples: np.ndarray, times: np.ndarray) -> None:
+    """``RuntimeError`` naming the first time at which the trace of a sample
+    has drifted from one by more than ``TRACE_DRIFT_BOUND``."""
+    tr = np.real(np.trace(samples, axis1=1, axis2=2))
     # written so that a NaN trace counts as drift
-    if not abs(tr - 1.0) <= TRACE_DRIFT_BOUND:
+    drifted = ~(np.abs(tr - 1.0) <= TRACE_DRIFT_BOUND)
+    if drifted.any():
+        k = int(np.argmax(drifted))
         raise RuntimeError(
-            f"trace drifted to {tr!r} at {where}; integration accuracy lost"
+            f"trace drifted to {float(tr[k])!r} at t={float(times[k])}; integration accuracy lost"
         )
-    return rho
 
 
 # Padé coefficients b_0..b_m of the degree-m diagonal approximant of exp
@@ -271,11 +263,21 @@ class _Components:
         Each dense propagator is one :func:`expm` call on all blocks of a size,
         its Padé degree and squarings chosen from the 1-norm of ``M dt`` alone
         (Higham 2005); a step that overflows ``M dt`` reaches the kernel as
-        non-finite entries, which it reports as ``RuntimeError``."""
+        non-finite entries, which it reports as ``RuntimeError``.  One row
+        per time; the times must be a non-empty 1-d sequence, finite,
+        non-negative and non-decreasing, else a named ``ValueError``."""
         times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or len(times) == 0:
+            raise ValueError(f"times must be a non-empty 1-d sequence, got shape {times.shape}")
+        contract = "times must be finite, non-negative and non-decreasing"
+        if not np.isfinite(times).all():
+            raise ValueError(f"{contract}, got a non-finite time")
+        if times[0] < 0:
+            raise ValueError(f"{contract}, got a negative first time {times[0]}")
         steps = np.diff(times, prepend=0.0)
-        if not (np.isfinite(times).all() and np.all(steps >= 0)):
-            raise ValueError("times must be finite, non-negative and non-decreasing")
+        if np.any(steps < 0):
+            k = int(np.argmax(steps < 0))
+            raise ValueError(f"{contract}, got {times[k]} after {times[k - 1]}")
         out = np.zeros((len(times), len(v0)), dtype=np.result_type(self.m.dtype, v0))
         for idx, block in self._blocks(np.unique(self.label[v0 != 0]), DENSE_KINETIC_STATES):
             v, h = v0[idx], None
@@ -306,25 +308,26 @@ class _Components:
 
 
 def evolve(gen: Generator, rho0: np.ndarray, times: Sequence[float]) -> Trajectory:
-    """Propagate ``rho0`` under the generator, sampling at ``times``.
+    """Propagate ``rho0`` under the generator, sampling at exactly ``times``.
 
     The state is rotated into the energy eigenbasis and stepped from sample
-    to sample on each connected component of the sparse superoperator that
-    it touches (see :data:`DENSE_KINETIC_STATES`), so the grid may be
-    non-uniform and an evenly spaced grid costs one exponential per block
-    size.  Each sample is rotated back and returned as propagated: the
-    generator preserves trace and Hermiticity, so nothing is rescaled, and a
-    trace drift beyond ``TRACE_DRIFT_BOUND`` raises ``RuntimeError``.
+    to sample, from t = 0, on each connected component of the sparse
+    superoperator that it touches (see :data:`DENSE_KINETIC_STATES`), so the
+    grid may be non-uniform and an evenly spaced grid costs one exponential
+    per block size.  The times obey the contract of
+    :meth:`ClassicalKineticSystem.evolve`.  The samples are kept in the
+    eigenbasis as propagated: the generator preserves trace and
+    Hermiticity, so nothing is rescaled, and a trace drift beyond
+    ``TRACE_DRIFT_BOUND`` raises ``RuntimeError``.
     """
     rho0 = validate_density_matrix(rho0)
-    t = _normalise_times(times)
-    v = gen.spec.basis
-    vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), t)
-    states = [rho0] + [
-        _check_trace(v @ unvectorize(x, gen.dim) @ dag(v), f"t={tk}")
-        for tk, x in zip(t[1:], vecs[1:])
-    ]
-    return Trajectory(times=t, states=tuple(states))
+    times = np.asarray(times, dtype=float)
+    v, d = gen.spec.basis, gen.dim
+    vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), times)
+    # rows are column-stacked: row k holds sample k transposed in C order
+    samples = vecs.reshape(-1, d, d).swapaxes(1, 2)
+    _check_trace(samples, times)
+    return Trajectory(times=times, samples=samples, basis=v)
 
 
 @dataclass(eq=False)
@@ -455,11 +458,12 @@ class ClassicalKineticSystem:
         uniformly, and each orbit's probability is shared out evenly again.
         With no such symmetry every orbit is one state and Q is K.  Q steps
         from sample to sample, starting at t = 0, on the connected
-        components that ``L p0`` touches; the times must be finite,
-        non-negative and non-decreasing (else ``ValueError``).  A component
-        of up to ``DENSE_KINETIC_STATES`` orbits costs one ``expm`` per
-        distinct step at any horizon, with its columns set to sum to one so
-        that probability does not drift; a larger one steps with
+        components that ``L p0`` touches; each time gives one row, and the
+        times must be a non-empty 1-d sequence, finite, non-negative and
+        non-decreasing (else ``ValueError``).  A component of up to
+        ``DENSE_KINETIC_STATES`` orbits costs one ``expm`` per distinct step
+        at any horizon, with its columns set to sum to one so that
+        probability does not drift; a larger one steps with
         ``expm_multiply``, which needs about ``|Q|_1 dt`` sparse products.
         """
         p0 = np.asarray(p0, dtype=float)
@@ -586,13 +590,9 @@ def decay_fit(
         raise ValueError(
             f"matrix element ({mu},{nu}) starts at {abs(z[0]):.3e}; too small to fit"
         )
-    mask = np.abs(z) > 1e-10
-    # use the leading contiguous window
-    end = len(z)
-    for k, ok in enumerate(mask):
-        if not ok:
-            end = k
-            break
+    # the leading contiguous window
+    usable = np.abs(z) > 1e-10
+    end = len(z) if usable.all() else int(np.argmin(usable))
     if end < 3:
         raise ValueError("fewer than 3 usable samples for the decay fit")
     t = traj.times[:end]

@@ -1,5 +1,6 @@
-"""Dead code in the package: unused module-level imports, and private
-module-level functions or classes that nothing refers to.
+"""Dead code in the package: unused module-level imports, private
+module-level functions or classes that nothing refers to, and class methods
+that nothing in the sources, tests or benchmarks names.
 
 No linter is a dependency of the project, so the sources are parsed with
 the standard library's ``ast``.
@@ -84,3 +85,23 @@ def test_every_parameter_is_read():
                     continue
                 unread.append(f"{module}: {node.name}({param.arg})")
     assert unread == []
+
+
+def test_every_class_method_is_referenced():
+    # a method is dead when no source, test or benchmark names it; dunders
+    # are called by the language
+    root = SRC.parents[1]
+    trees = [ast.parse(p.read_text()) for d in ("src", "tests", "benchmarks")
+             for p in sorted((root / d).rglob("*.py"))]
+    used = set().union(*(names_read(t) | attributes_read(t) for t in trees))
+    unreferenced = [
+        f"{module}: {cls.name}.{node.name}"
+        for module, tree in parse_package().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert unreferenced == []

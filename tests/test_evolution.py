@@ -91,7 +91,8 @@ def test_trajectory_structural_invariants():
 
 def test_evolve_returns_samples_as_propagated():
     # no Hermitisation and no division by the trace: each sample is the
-    # propagated eigenbasis vector rotated back, to the last bit
+    # propagated eigenbasis vector, to the last bit, and the lab-basis
+    # states are one rotation of the stack
     rng = np.random.default_rng(63)
     d = 4
     spec = spectral_decompose(random_hermitian(rng, d))
@@ -107,8 +108,72 @@ def test_evolve_returns_samples_as_propagated():
     traj = evolve(gen, rho0, times)
     v = spec.basis
     vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), times)
-    for rho, x in zip(traj.states[1:], vecs[1:]):
-        assert np.array_equal(rho, v @ unvectorize(x, d) @ dag(v))
+    assert traj.samples.shape == (len(times), d, d)
+    for sample, x in zip(traj.samples, vecs):
+        assert np.array_equal(sample, unvectorize(x, d))
+    assert np.array_equal(traj.basis, v)
+    assert np.array_equal(traj.states, v @ traj.samples @ dag(v))
+
+
+def test_trajectory_views_match_per_sample_rotations():
+    rng = np.random.default_rng(64)
+    d = 4
+    spec = spectral_decompose(random_hermitian(rng, d))
+    bohr = bohr_frequencies(spec)
+    gen = build_generator(
+        spec,
+        [random_hermitian(rng, d)],
+        correlation_table(BathSpec(beta=0.8), bohr, 1),
+        bohr,
+    )
+    traj = evolve(gen, random_density(rng, d), np.linspace(0.0, 3.0 / gen.norm_scale(), 7))
+    unitary, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    for basis in (None, np.eye(d, dtype=complex), unitary):
+        b = np.eye(d) if basis is None else basis
+        rotated = np.array([dag(b) @ rho @ b for rho in traj.states])
+        pops = traj.populations(basis)
+        assert pops.shape == (len(traj.times), d)
+        assert np.abs(pops - np.real(np.diagonal(rotated, axis1=1, axis2=2))).max() < 1e-14
+        for mu, nu in ((0, 0), (1, 3), (3, 2)):
+            elem = traj.matrix_element(mu, nu, basis)
+            assert np.abs(elem - rotated[:, mu, nu]).max() < 1e-14
+
+
+def kinetic_route(times):
+    k = np.array([[-1.0, 2.0], [1.0, -2.0]])
+    return ClassicalKineticSystem(energies=np.zeros(2), rate_matrix=k).evolve([1.0, 0.0], times)
+
+
+def quantum_route(times):
+    gen, _ = two_level_generator()
+    return evolve(gen, np.diag([0.3, 0.7]).astype(complex), times).samples
+
+
+@pytest.mark.parametrize("route", [kinetic_route, quantum_route])
+def test_both_solvers_sample_at_exactly_the_given_times(route):
+    # no t = 0 is added, a repeated time repeats its sample, and stepping
+    # from 0 to the first time is the same step either way
+    out = route([0.5, 0.5, 1.0])
+    assert len(out) == 3
+    assert np.array_equal(out[0], out[1])
+    assert np.array_equal(out[1:], route([0.0, 0.5, 1.0])[1:])
+
+
+@pytest.mark.parametrize("route", [kinetic_route, quantum_route])
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([], "non-empty 1-d"),
+        ([[0.0, 1.0]], "non-empty 1-d"),
+        ([0.0, math.nan], "non-finite time"),
+        ([0.0, math.inf], "non-finite time"),
+        ([-0.5, 1.0], "negative first time -0.5"),
+        ([0.0, 1.0, 0.5], "got 0.5 after 1.0"),
+    ],
+)
+def test_both_solvers_refuse_the_same_bad_times(route, times, message):
+    with pytest.raises(ValueError, match=message):
+        route(times)
 
 
 def test_gibbs_convergence():
@@ -332,7 +397,7 @@ def test_decay_fit_recovers_complex_rate():
         rho[0, 1] = z0 * np.exp(a * t)
         rho[1, 0] = np.conj(rho[0, 1])
         states.append(rho)
-    traj = Trajectory(times=times, states=tuple(states))
+    traj = Trajectory(times=times, samples=np.array(states), basis=np.eye(2, dtype=complex))
     fitted, resid = decay_fit(traj, 0, 1, basis=np.eye(2, dtype=complex))
     assert abs(fitted - a) < 1e-9
     assert resid < 1e-10
@@ -342,7 +407,7 @@ def test_decay_fit_rejects_empty_element():
     from stoclim.evolution import Trajectory
 
     times = np.linspace(0.0, 1.0, 10)
-    states = tuple(np.diag([0.5, 0.5]).astype(complex) for _ in times)
-    traj = Trajectory(times=times, states=states)
+    states = np.array([np.diag([0.5, 0.5]).astype(complex) for _ in times])
+    traj = Trajectory(times=times, samples=states, basis=np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         decay_fit(traj, 0, 1, basis=np.eye(2, dtype=complex))

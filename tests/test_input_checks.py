@@ -58,8 +58,9 @@ def test_density_matrix_with_nan_entry_rejected():
 
 
 def test_nan_trace_counts_as_drift():
-    with pytest.raises(RuntimeError, match="trace drifted to nan"):
-        _check_trace(np.full((2, 2), np.nan, dtype=complex), "t=1.0")
+    samples = np.stack([np.eye(2, dtype=complex) / 2, np.full((2, 2), np.nan, dtype=complex)])
+    with pytest.raises(RuntimeError, match=r"trace drifted to nan at t=1\.0;"):
+        _check_trace(samples, np.array([0.0, 1.0]))
 
 
 def pv_reference(numerator, omega, cutoff, h=1e-3):
@@ -239,6 +240,26 @@ def test_cli_scaling_with_one_size_exits_2(capsys):
     assert code == 2
     assert out.out == ""
     assert "two distinct ring sizes" in out.err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--suite", "scaling", "--sizes", "2,x"], "--sizes"),
+        (["--suite", "scaling", "--sizes", ""], "--sizes"),
+        (["--suite", "leibniz", "--sizes", "2,3"], "--sizes"),
+        (["--suite", "detailed-balance", "--sizes", "2,3"], "--sizes"),
+        (["--suite", "leibniz", "--corrupt-rate", "0,1,2"], "--corrupt-rate"),
+        (["--suite", "scaling", "--corrupt-rate", "0,1,2"], "--corrupt-rate"),
+        (["--suite", "detailed-balance", "--corrupt-rate", ""], "--corrupt-rate"),
+    ],
+)
+def test_cli_check_refuses_a_flag_it_would_ignore_or_misread(capsys, args, flag):
+    code = cli.main(["check", *args])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("config error: ") and flag in out.err
 
 
 def dense_detailed_balance(k, p, rows=256):
