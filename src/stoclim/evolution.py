@@ -10,36 +10,45 @@ stationary distribution for a thermal reservoir is the Gibbs distribution
 (detailed balance).
 
 Quantum (sparse energy-eigenbasis superoperator) and classical (rate
-matrix) solvers share one route: the weakly connected components of the
-generator's sparsity pattern, which refine its Bohr sectors (Baumgartner &
+matrix) solvers share one route, in numpy alone: both read the generator as
+the package's (data, row, col) triples (:mod:`stoclim._sparse`), split into
+the weakly connected components of its sparsity pattern, found by hooking
+and pointer jumping, which refine its Bohr sectors (Baumgartner &
 Narnhofer, J. Phys. A 41, 395303, 2008).  Trajectories step from sample to
 sample on the components the initial state touches, with a batched dense
-``expm(M dt)`` per block size up to :data:`DENSE_KINETIC_STATES` states and
-``expm_multiply`` (Al-Mohy & Higham 2011) above; null spaces come from a
-batched SVD of the blocks.  The dense exponential is this module's own
-numpy kernel :func:`expm`, scaling and squaring on Padé approximants with
-degree and squarings chosen from the 1-norm alone (Higham, SIAM J. Matrix
-Anal. Appl. 26, 1179, 2005), so every dense BLAS and LAPACK call runs in
-numpy's library; it keeps unit column sums for blocks whose columns sum to
-zero, so probability does not drift.  A classical system first lumps onto the orbits
-of the declared symmetries of its rate matrix that fix the start (strong
-lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960, section 6.3), so
-the all-up start of a uniform 12-ring steps on 118 orbits instead of a
-1,848-state component.
+``expm(M dt)`` per block size up to :data:`DENSE_KINETIC_STATES` states;
+null spaces come from a batched SVD of the blocks.  The dense exponential
+is this module's own numpy kernel :func:`expm`, scaling and squaring on
+Padé approximants with degree and squarings chosen from the 1-norm alone
+(Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), so every dense BLAS
+and LAPACK call runs in numpy's library; it keeps unit column sums for
+blocks whose columns sum to zero, so probability does not drift.  A
+classical system first lumps onto the orbits of the declared symmetries of
+its rate matrix that fix the start (strong lumpability; Kemeny & Snell,
+*Finite Markov Chains*, 1960, section 6.3), summing the triples over
+orbits, so the all-up start of a uniform 12-ring steps on 118 orbits
+instead of a 1,848-state component.
+
+scipy is imported only where it is used: for the scipy views
+(``Generator.superoperator``, ``ClassicalKineticSystem.rate_matrix``) and
+what is computed on them (:func:`diagonal_restriction`,
+``Generator.dense_adjoint``, the generator actions), and for components
+larger than :data:`DENSE_KINETIC_STATES`, which step with scipy's
+``expm_multiply`` (Al-Mohy & Higham 2011).  Importing the package, and
+trajectories and stationary states on smaller components, load no scipy
+module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
+from ._sparse import Triples, as_triples, components, max_difference, summed, to_scipy
 from .generator import Generator, _blocks, vectorize, unvectorize
 from .operators import SpectralData, dag
 
@@ -237,23 +246,37 @@ class _Components:
     """A sparse generator split into the weakly connected components of its
     sparsity pattern; it acts on each of them as a block of its own."""
 
-    def __init__(self, m: sparse.spmatrix) -> None:
-        self.m = sparse.csr_matrix(m)
-        _, self.label = connected_components(self.m != 0, connection="weak")
+    def __init__(self, m: Triples) -> None:
+        self.m = m
+        n = m.shape[0]
+        self.label = components(n, m.row, m.col)
         self.order = np.argsort(self.label, kind="stable")
         self.sizes = np.bincount(self.label)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        # each state's place within its component
+        self.place = np.empty(n, dtype=int)
+        self.place[self.order] = np.arange(n) - self.starts[self.label[self.order]]
 
     def _blocks(self, comps: np.ndarray, dense_max: float):
         """For each size s among ``comps``: their members (g, s) and blocks,
-        stacked dense (g, s, s) up to ``dense_max`` and one sparse slice above."""
-        starts, sizes = np.cumsum(self.sizes) - self.sizes, self.sizes[comps]
+        stacked dense (g, s, s) up to ``dense_max`` and one scipy CSR matrix
+        of the g blocks on its diagonal above."""
+        m, sizes = self.m, self.sizes[comps]
+        at = self.label[m.row]
         for s in np.unique(sizes):
-            idx = self.order[starts[comps[sizes == s], np.newaxis] + np.arange(s)]
-            sub = self.m[idx.ravel()][:, idx.ravel()]
+            these = comps[sizes == s]
+            idx = self.order[self.starts[these, np.newaxis] + np.arange(s)]
+            slot = np.full(len(self.sizes), -1)
+            slot[these] = np.arange(len(these))
+            g = slot[at]
+            e = g >= 0
+            g, r, c = g[e], self.place[m.row[e]], self.place[m.col[e]]
             if s <= dense_max:
-                coo, sub = sub.tocoo(), np.zeros((len(idx), s, s), dtype=sub.dtype)
-                np.add.at(sub, (coo.row // s, coo.row % s, coo.col % s), coo.data)
-            yield idx, sub
+                block = np.zeros((len(these), s, s), dtype=m.data.dtype)
+                block[g, r, c] = m.data[e]
+            else:
+                block = to_scipy(summed(m.data[e], g * s + r, g * s + c, (idx.size, idx.size)), "csr")
+            yield idx, block
 
     def propagate(self, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
         """``expm(M t) v0`` at each time (rows) from t = 0, stepped from sample to
@@ -278,11 +301,13 @@ class _Components:
         if np.any(steps < 0):
             k = int(np.argmax(steps < 0))
             raise ValueError(f"{contract}, got {times[k]} after {times[k - 1]}")
-        out = np.zeros((len(times), len(v0)), dtype=np.result_type(self.m.dtype, v0))
+        out = np.zeros((len(times), len(v0)), dtype=np.result_type(self.m.data.dtype, v0))
         for idx, block in self._blocks(np.unique(self.label[v0 != 0]), DENSE_KINETIC_STATES):
-            v, h = v0[idx], None
+            v, h, dense = v0[idx], None, isinstance(block, np.ndarray)
+            if not dense:
+                from scipy.sparse.linalg import expm_multiply
             for k, (t, dt) in enumerate(zip(times, steps)):
-                if dt > 0.0 and sparse.issparse(block):
+                if dt > 0.0 and not dense:
                     v = expm_multiply(block * dt, v.ravel()).reshape(idx.shape)
                 elif dt > 0.0:
                     if h is None or abs(dt - h) > 4.0 * np.spacing(t):
@@ -323,7 +348,7 @@ def evolve(gen: Generator, rho0: np.ndarray, times: Sequence[float]) -> Trajecto
     rho0 = validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     v, d = gen.spec.basis, gen.dim
-    vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), times)
+    vecs = _Components(gen._triples).propagate(vectorize(dag(v) @ rho0 @ v), times)
     # rows are column-stacked: row k holds sample k transposed in C order
     samples = vecs.reshape(-1, d, d).swapaxes(1, 2)
     _check_trace(samples, times)
@@ -359,7 +384,7 @@ def stationary_state(gen: Generator) -> StationaryResult:
     and beta = inf give nullity 4, including |0><2| and |2><0|, for which
     ||[H, X]|| = 2.5.
     """
-    blocks = _Components(gen.superoperator)
+    blocks = _Components(gen._triples)
     # numerically empty null space: relax once before giving up
     ns = blocks.null_space(1e-9) or blocks.null_space(1e-7)
     if not ns:
@@ -384,61 +409,86 @@ def stationary_state(gen: Generator) -> StationaryResult:
 _RATE_TOL = 1e-10
 
 
-def _symmetry_defect(k: sparse.csc_matrix, perm) -> float:
+def _symmetry_defect(k: Triples, perm) -> float:
     """``max |K[perm][:, perm] - K|`` relative to ``max(1, max|K|)``; inf when
     ``perm`` is not a permutation of the states."""
+    n = k.shape[0]
     perm = np.asarray(perm)
-    if perm.shape != (k.shape[0],) or not np.array_equal(np.sort(perm), np.arange(k.shape[0])):
+    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
         return math.inf
-    return float(abs(k[perm][:, perm] - k).max()) / max(1.0, abs(k).max())
+    inv = np.empty(n, dtype=int)
+    inv[perm] = np.arange(n)
+    # K[perm][:, perm] holds K[r, c] at (inv[r], inv[c])
+    defect = max_difference(k, k.data, inv[k.row], inv[k.col])
+    return defect / max(1.0, np.abs(k.data).max(initial=0.0))
 
 
-class _RateMatrix(sparse.csc_matrix):
-    """A CSC matrix that ``np.asarray`` reads as its dense array, as dense-K callers expect."""
+@cache
+def _rate_matrix_type() -> type:
+    """``scipy.sparse.csc_matrix`` that ``np.asarray`` reads as its dense
+    array, as dense-K callers expect; made on first use, with scipy."""
+    from scipy import sparse
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("the dense form of a sparse rate matrix is always a copy")
-        return self.toarray().astype(float if dtype is None else dtype, copy=False)
+    class RateMatrix(sparse.csc_matrix):
+        def __array__(self, dtype=None, copy=None) -> np.ndarray:
+            if copy is False:
+                raise ValueError("the dense form of a sparse rate matrix is always a copy")
+            return self.toarray().astype(float if dtype is None else dtype, copy=False)
+
+        def __reduce__(self):
+            # a class made inside a function pickles by its module-level maker
+            return _rate_matrix_view, ((self.data, self.indices, self.indptr), self.shape)
+
+    return RateMatrix
 
 
-@dataclass(eq=False)
+def _rate_matrix_view(arrays: tuple, shape: tuple):
+    """The rate-matrix view of CSC arrays (data, indices, indptr)."""
+    return _rate_matrix_type()(arrays, shape=shape)
+
+
 class ClassicalKineticSystem:
     """Jump process on the population sector.
 
     ``rate_matrix`` is the column generator: ``K[b, a]`` is the jump rate
     a -> b for ``b != a`` and each diagonal entry is minus the total outflow,
-    so columns sum to zero and ``dp/dt = K p``.  It is held as a float CSC
-    matrix, converted once from whatever (dense or sparse) is given;
-    ``np.asarray`` reads it as the dense array.
+    so columns sum to zero and ``dp/dt = K p``.  It is given dense or as a
+    scipy sparse matrix and held as float triples, which the solvers read;
+    the attribute is a float ``scipy.sparse.csc_matrix`` view of them, built
+    on first access, that ``np.asarray`` reads as the dense array.
     ``symmetries`` holds state permutations (index arrays) under which K is
     invariant, ``K[perm][:, perm] == K``; :meth:`evolve` propagates on their
     orbits when the start is invariant too.
     """
 
-    energies: np.ndarray
-    rate_matrix: sparse.csc_matrix
-    symmetries: tuple = ()
+    def __init__(self, energies: np.ndarray, rate_matrix, symmetries: tuple = ()) -> None:
+        self.energies = energies
+        self.symmetries = symmetries
+        if isinstance(rate_matrix, Triples):
+            self._triples = rate_matrix
+        else:
+            self._triples = as_triples(rate_matrix, float)
 
-    def __post_init__(self) -> None:
-        self.rate_matrix = _RateMatrix(self.rate_matrix, dtype=float)
+    @cached_property
+    def rate_matrix(self) -> "scipy.sparse.csc_matrix":
+        return _rate_matrix_type()(to_scipy(self._triples, "csc"))
 
     @property
     def size(self) -> int:
-        return self.rate_matrix.shape[0]
+        return self._triples.shape[0]
 
     def validate(self) -> None:
         """Check finiteness, non-negative jump rates, zero column sums and
         the declared symmetries, each to 1e-10 times ``max(1, max|K|)``;
         raises ``ValueError`` naming the failed check."""
-        k = self.rate_matrix
+        k = self._triples
         if not np.isfinite(k.data).all():
             raise ValueError("rate matrix has non-finite entries")
-        scale = max(1.0, abs(k).max())
-        lo = (k - sparse.diags(k.diagonal())).min()
+        scale = max(1.0, np.abs(k.data).max(initial=0.0))
+        lo = k.data[k.row != k.col].min(initial=0.0)
         if lo < -_RATE_TOL * scale:
             raise ValueError(f"negative off-diagonal rate {lo:.3e}")
-        colsum = np.abs(k.sum(axis=0)).max()
+        colsum = np.abs(np.bincount(k.col, weights=k.data, minlength=self.size)).max(initial=0.0)
         if colsum > _RATE_TOL * scale:
             raise ValueError(f"columns do not sum to zero (max {colsum:.3e})")
         for i, perm in enumerate(self.symmetries):
@@ -448,40 +498,61 @@ class ClassicalKineticSystem:
                     f"rate matrix is not invariant under symmetry {i} (defect {defect:.3e})"
                 )
 
+    def _start(self, p0) -> np.ndarray:
+        """``p0`` as a float distribution over the states; ``ValueError``
+        naming its length, a non-finite or negative entry, or a sum that
+        differs from 1 by more than 1e-12."""
+        p0 = np.asarray(p0, dtype=float)
+        if p0.shape != (self.size,):
+            raise ValueError(f"start distribution must have shape ({self.size},), got {p0.shape}")
+        if not np.isfinite(p0).all():
+            raise ValueError("start distribution has non-finite entries")
+        lo = p0.min(initial=0.0)
+        if lo < 0.0:
+            raise ValueError(f"start distribution has negative entry {lo:.3e}")
+        total = float(p0.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(
+                f"start distribution sums to {total!r}, which differs from 1 by {abs(total - 1.0):.3e}"
+            )
+        return p0
+
     def evolve(self, p0: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """Distribution trajectory, shape (len(times), size).
 
-        The symmetries that fix ``p0`` exactly split the states into orbits,
-        and K lumps exactly onto orbit sums (strong lumpability; Kemeny &
-        Snell, *Finite Markov Chains*, 1960, section 6.3): the chain runs on
-        ``Q = L K R``, with L the orbit indicator and R spreading each orbit
-        uniformly, and each orbit's probability is shared out evenly again.
-        With no such symmetry every orbit is one state and Q is K.  Q steps
-        from sample to sample, starting at t = 0, on the connected
-        components that ``L p0`` touches; each time gives one row, and the
-        times must be a non-empty 1-d sequence, finite, non-negative and
-        non-decreasing (else ``ValueError``).  A component of up to
-        ``DENSE_KINETIC_STATES`` orbits costs one ``expm`` per distinct step
-        at any horizon, with its columns set to sum to one so that
-        probability does not drift; a larger one steps with
-        ``expm_multiply``, which needs about ``|Q|_1 dt`` sparse products.
+        ``p0`` must be a distribution over the states: the right length,
+        finite, non-negative and summing to 1 within 1e-12 (else
+        ``ValueError``).  The symmetries that fix ``p0`` exactly split the
+        states into orbits, and K lumps exactly onto orbit sums (strong
+        lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960, section
+        6.3): the chain runs on ``Q = L K R``, with L the orbit indicator
+        and R spreading each orbit uniformly, and each orbit's probability
+        is shared out evenly again.  With no such symmetry every orbit is
+        one state and Q is K.  Q steps from sample to sample, starting at
+        t = 0, on the connected components that ``L p0`` touches; each time
+        gives one row, and the times must be a non-empty 1-d sequence,
+        finite, non-negative and non-decreasing (else ``ValueError``).  A
+        component of up to ``DENSE_KINETIC_STATES`` orbits costs one
+        ``expm`` per distinct step at any horizon, with its columns set to
+        sum to one so that probability does not drift; a larger one steps
+        with ``expm_multiply``, which needs about ``|Q|_1 dt`` sparse
+        products.
         """
-        p0 = np.asarray(p0, dtype=float)
+        p0 = self._start(p0)
         states = np.arange(self.size)
         perms = [states] + [p for p in self.symmetries if np.array_equal(p0[p], p0)]
-        moves = sparse.coo_matrix(
-            (np.ones(len(perms) * self.size), (np.tile(states, len(perms)), np.concatenate(perms))),
-            shape=(self.size, self.size),
-        )
-        _, orbit = connected_components(moves, connection="weak")
+        orbit = components(self.size, np.tile(states, len(perms)), np.concatenate(perms))
         sizes = np.bincount(orbit)
-        lump = sparse.csr_matrix((np.ones(self.size), (orbit, states)))
-        q = lump @ self.rate_matrix @ lump.T @ sparse.diags(1.0 / sizes)
-        return _Components(q).propagate(lump @ p0, times)[:, orbit] / sizes[orbit]
+        k = self._triples
+        # Q[o, o'] = sum of K over o x o', spread over the |o'| states of o'
+        q = summed(k.data, orbit[k.row], orbit[k.col], (len(sizes), len(sizes)))
+        q = q._replace(data=q.data * (1.0 / sizes)[q.col])
+        lumped = np.bincount(orbit, weights=p0, minlength=len(sizes))
+        return _Components(q).propagate(lumped, times)[:, orbit] / sizes[orbit]
 
     def stationary(self) -> np.ndarray:
         """Normalised stationary distribution (null space per component)."""
-        ns = _Components(self.rate_matrix).null_space(1e-10)
+        ns = _Components(self._triples).null_space(1e-10)
         if len(ns) != 1:
             raise RuntimeError(f"kinetic stationary distribution not unique (dim {len(ns)})")
         p = ns[0]
@@ -517,8 +588,8 @@ def diagonal_restriction(
         data.append((col @ row.conj())[:, 0].ravel())
         rows.append((x[:, :, np.newaxis] + d * x[:, np.newaxis, :]).ravel())
         cols.append(np.repeat(a[:, 0], a.shape[1] ** 2))
-    pops = sparse.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d)
+    pops = to_scipy(
+        summed(np.concatenate(data), np.concatenate(rows), np.concatenate(cols), (d * d, d)), "csc"
     )
     k = np.real((pops.conj().T @ gen.superoperator @ pops).toarray())
     np.fill_diagonal(k, 0.0)
@@ -538,8 +609,11 @@ def detailed_balance_residual(
     ``max over connected pairs |p_a W[a->b] - p_b W[b->a]|``.
     """
     # flow[b, a] = W[a->b] p_a; the diagonal cancels in flow - flow.T
-    flow = cks.rate_matrix @ sparse.diags(np.asarray(dist, dtype=float))
-    return float(abs(flow - flow.T).max())
+    k = cks._triples
+    flow = k.data * np.asarray(dist, dtype=float)[k.col]
+    rows, cols = np.concatenate([k.row, k.col]), np.concatenate([k.col, k.row])
+    diff = summed(np.concatenate([flow, -flow]), rows, cols, k.shape)
+    return float(np.abs(diff.data).max(initial=0.0))
 
 
 def gibbs_state(beta: float, spec: SpectralData) -> np.ndarray:

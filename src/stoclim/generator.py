@@ -37,7 +37,8 @@ pairs entries in one row, ``A_j A_i^dag`` entries in one column, and a jump
 term any two entries.  Lab-basis operators are rotations ``V X V^dag`` of
 this data; :attr:`Generator.channels`, the dense matrix and the actions in
 both pictures are views of the stacks and of the sparse eigenbasis
-superoperator.  The
+superoperator, which is held as numpy triples and seen by scipy only
+through a view built on first access.  The
 first-order structure maps (commutators with the frequency components)
 reproduce, through their rate-weighted products, the deviation of ``L`` from
 being a derivation: the product-rule identity that pins down the pairing.
@@ -50,8 +51,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
+from ._sparse import Triples, summed, to_scipy
 from .bath import BathDomainError, CorrelationTable
 from .operators import (
     BohrSet,
@@ -206,9 +207,12 @@ class Generator:
     channels' frequencies and rate matrices.  The component of coupling j
     on channel k is ``C_j`` masked by ``channel_of == k``; :attr:`channels`
     are views of the stacks.  The Schroedinger-picture superoperator is
-    assembled once, lazily, as a sparse matrix in the energy eigenbasis
-    (:attr:`superoperator`); the dense lab-basis matrix and the actions in
-    both pictures are views of it (column-stacking convention throughout).
+    assembled once, lazily, in the energy eigenbasis, as the summed,
+    zero-free (data, row, col) triples that the solvers read with numpy
+    (column-stacking convention throughout).  :attr:`superoperator` is a
+    scipy CSR view of them, and the dense lab-basis matrix and the actions
+    in both pictures are computed on that view; these are the only parts of
+    a generator that import scipy.
     """
 
     spec: SpectralData
@@ -239,14 +243,20 @@ class Generator:
         return self.spec.basis @ self.shift @ dag(self.spec.basis)
 
     @cached_property
-    def superoperator(self) -> sparse.csr_matrix:
+    def superoperator(self) -> "scipy.sparse.csr_matrix":
         """Schroedinger-picture generator in the energy eigenbasis (CSR).
 
         Acts on ``vectorize(V^dag rho V)`` with ``V = spec.basis``, the
         basis the channels and the drift are held in.  The non-jump part is
         ``-i H_eff rho + i rho H_eff^dag`` with ``H_eff = -i G`` for the
-        drift ``G``.
+        drift ``G``.  A scipy view of the triples the solvers read, built
+        on first access.
         """
+        return to_scipy(self._triples, "csr")
+
+    @cached_property
+    def _triples(self) -> Triples:
+        """The eigenbasis superoperator as summed, zero-free triples."""
         d = self.dim
         tgt, src = np.indices((d, d)).reshape(2, -1)
         rows, cols, vals = [], [], []
@@ -271,9 +281,7 @@ class Generator:
         cols += [_vec_index(p, n, d), _vec_index(n, p, d).T]
         vals += [np.broadcast_to(z, (len(h), d)) for z in (-1j * h, 1j * h.conj())]
         data, r, c = (np.concatenate([x.ravel() for x in xs]) for xs in (vals, rows, cols))
-        out = sparse.csr_matrix((data, (r, c)), shape=(d * d, d * d))
-        out.eliminate_zeros()
-        return out
+        return summed(data, r, c, (d * d, d * d))
 
     @cached_property
     def _eigen_drift(self) -> np.ndarray:
@@ -290,6 +298,8 @@ class Generator:
     @cached_property
     def dense_adjoint(self) -> np.ndarray:
         """Dense lab-basis matrix of the Schroedinger-picture generator."""
+        from scipy import sparse
+
         v = self.spec.basis
         # vectorize(V X V^dag) = kron(conj(V), V) @ vectorize(X)
         rot = sparse.kron(sparse.csr_matrix(v.conj()), sparse.csr_matrix(v))

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
+from ._sparse import summed
 from .bath import (
     BathConfigurationError,
     BathDomainError,
@@ -326,7 +326,7 @@ def classical_glauber_generator(
     zero for energy-neutral flips), with the site's own form factor; a
     negative or non-finite rate raises ``BathDomainError``.  Each distinct
     (site, released energy), computed as in :func:`energy_release`, is
-    rated once; the rates form one CSC matrix with columns summing to zero
+    rated once; the rates form one sparse matrix with columns summing to zero
     (``dp/dt = K p``) at every chain length.  Energy-neutral flips have zero
     rate, so K can split into disconnected components (9 on the 12-ring,
     the all-up one with 1,848 states); the solvers treat each on its own.
@@ -344,18 +344,24 @@ def classical_glauber_generator(
     size = 2**n
     spins = spin_configurations(n)
     configs = np.arange(size)
-    rows, vals = [], []
+    # column a holds the flip of each site r, to configuration a ^ 2^(n-1-r)
+    flips = configs[:, np.newaxis] ^ (1 << (n - 1 - np.arange(n)))
+    rates = np.empty((size, n))
     for r in range(n):
         levels, level_of = np.unique(energy_release(cs, spins, r), return_inverse=True)
-        rates = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
-        rows.append(configs ^ (1 << (n - 1 - r)))
-        vals.append(rates[level_of])
-    off = sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.tile(configs, n))),
-        shape=(size, size),
-    )
-    # the subtraction also drops the stored zeros of energy-neutral flips
-    k = off - sparse.diags(np.asarray(off.sum(axis=0)).ravel())
+        rates[:, r] = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])[level_of]
+    # each column's outflow adds its rates in row order, the zero rates of
+    # energy-neutral flips included, by the pairwise reduceat of a CSC column sum
+    order = np.argsort(flips, axis=1)
+    flips, rates = np.take_along_axis(flips, order, axis=1), np.take_along_axis(rates, order, axis=1)
+    outflow = np.add.reduceat(rates.ravel(), np.arange(0, size * n, n))
+    # the diagonal entry goes after the flips to smaller configurations, so
+    # that every column is in row order; summing drops the zero rates
+    diagonal = np.arange(n + 1) == (flips < configs[:, np.newaxis]).sum(axis=1, keepdims=True)
+    rows, vals = np.empty((size, n + 1), dtype=int), np.empty((size, n + 1))
+    rows[diagonal], vals[diagonal] = configs, -outflow
+    rows[~diagonal], vals[~diagonal] = flips.ravel(), rates.ravel()
+    k = summed(vals.ravel(), rows.ravel(), np.repeat(configs, n + 1), (size, size))
     # site r is bit n-1-r of the index
     mirror = np.zeros_like(configs)
     for r in range(n):

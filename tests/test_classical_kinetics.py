@@ -3,6 +3,7 @@ reference, sample-to-sample propagation, and input validation."""
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -91,6 +92,10 @@ def test_constructor_holds_a_dense_rate_matrix_as_float_csc():
     assert np.array_equal(np.asarray(cks.rate_matrix), k)
     assert np.asarray(cks.rate_matrix, dtype=complex).dtype == complex
     assert cks.size == 3
+    # the view, built on first access, pickles with the system
+    back = pickle.loads(pickle.dumps(cks))
+    assert type(back.rate_matrix) is type(cks.rate_matrix)
+    assert np.array_equal(np.asarray(back.rate_matrix), k)
 
 
 def test_no_stored_zeros():

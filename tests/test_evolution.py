@@ -107,7 +107,7 @@ def test_evolve_returns_samples_as_propagated():
     times = np.linspace(0.0, 3.0 / gen.norm_scale(), 9)
     traj = evolve(gen, rho0, times)
     v = spec.basis
-    vecs = _Components(gen.superoperator).propagate(vectorize(dag(v) @ rho0 @ v), times)
+    vecs = _Components(gen._triples).propagate(vectorize(dag(v) @ rho0 @ v), times)
     assert traj.samples.shape == (len(times), d, d)
     for sample, x in zip(traj.samples, vecs):
         assert np.array_equal(sample, unvectorize(x, d))

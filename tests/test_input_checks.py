@@ -9,8 +9,10 @@ import pytest
 from stoclim import (
     BathDomainError,
     BathSpec,
+    SpinChainSpec,
     bohr_frequencies,
     build_generator,
+    classical_glauber_generator,
     correlation_table,
     evolve,
     n_scaling_experiment,
@@ -55,6 +57,42 @@ def test_density_matrix_with_nan_entry_rejected():
     rho[0, 1] = rho[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         validate_density_matrix(rho)
+
+
+def ring4():
+    cs = SpinChainSpec(n_sites=4, coupling=1.0, boundary="periodic")
+    return classical_glauber_generator(cs, BathSpec(beta=1.0))
+
+
+def test_kinetic_start_of_the_wrong_length_rejected():
+    with pytest.raises(ValueError, match=r"start distribution must have shape \(16,\), got \(15,\)"):
+        ring4().evolve(np.full(15, 1.0 / 15), [0.0, 1.0])
+
+
+def test_kinetic_start_with_nan_entries_rejected():
+    with pytest.raises(ValueError, match="start distribution has non-finite entries"):
+        ring4().evolve(np.full(16, np.nan), [0.0, 1.0])
+
+
+def test_kinetic_start_with_a_negative_entry_rejected():
+    p0 = np.zeros(16)
+    p0[0] = -1.0
+    with pytest.raises(ValueError, match=r"start distribution has negative entry -1\.000e\+00"):
+        ring4().evolve(p0, [0.0, 1.0])
+
+
+def test_kinetic_start_that_does_not_sum_to_one_rejected():
+    cks = ring4()
+    p0 = np.zeros(16)
+    p0[0] = 2.0
+    with pytest.raises(ValueError, match=r"start distribution sums to 2\.0, which differs from 1 by 1\.000e\+00"):
+        cks.evolve(p0, [0.0, 1.0])
+    # 1e-12 is the tolerance on the sum
+    p0[0] = 1.0 + 1e-11
+    with pytest.raises(ValueError, match="sums to"):
+        cks.evolve(p0, [0.0, 1.0])
+    p0[0] = 1.0 + 1e-13
+    assert cks.evolve(p0, [0.0, 1.0]).shape == (2, 16)
 
 
 def test_nan_trace_counts_as_drift():

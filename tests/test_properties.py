@@ -1,5 +1,6 @@
-"""Property tests of the generator's invariants on random systems, and of
-the principal-value quadrature on random polynomial numerators."""
+"""Property tests of the generator's invariants on random systems, of the
+principal-value quadrature on random polynomial numerators, and of the
+component labels on random graphs."""
 
 import dataclasses
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from stoclim import (  # noqa: E402
@@ -23,8 +24,10 @@ from stoclim import (  # noqa: E402
     principal_value_integral,
     spectral_decompose,
 )
+from scipy import sparse  # noqa: E402
 from scipy.sparse.csgraph import connected_components  # noqa: E402
 
+from stoclim._sparse import components  # noqa: E402
 from stoclim.evolution import _Components, gibbs_state  # noqa: E402
 from stoclim.generator import NonGenericError, apply_adjoint, unvectorize, vectorize  # noqa: E402
 from stoclim.operators import dag  # noqa: E402
@@ -134,7 +137,7 @@ def test_propagator_is_completely_positive_and_trace_preserving(system):
     )
     gen = build_generator(spec, couplings, table, bohr)
     d = gen.dim
-    blocks = _Components(gen.superoperator)
+    blocks = _Components(gen._triples)
     units = np.eye(d * d).reshape(d, d, d, d)
     images = np.array(
         [
@@ -192,3 +195,24 @@ def test_principal_value_of_cubic(coeffs, a, length, u):
     # measured against the size of both terms rather than their sum
     scale = length * np.abs(q(np.linspace(a, b, 101))).max() + abs(p(c)) * (1.0 + abs(log))
     assert abs(got - exact) <= 1e-12 * max(scale, 1e-300)
+
+
+@st.composite
+def graphs(draw):
+    # nodes that no edge touches, self-loops and an empty edge list included
+    n = draw(st.integers(1, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    return n, np.array([e[0] for e in edges], dtype=int), np.array([e[1] for e in edges], dtype=int)
+
+
+@given(graphs())
+@example((3, np.array([], dtype=int), np.array([], dtype=int)))
+@example((4, np.array([2, 1]), np.array([2, 1])))
+@example((6, np.array([5, 4, 3, 2, 1]), np.array([4, 3, 2, 1, 0])))
+def test_component_labels_match_scipy(graph):
+    n, row, col = graph
+    adjacency = sparse.coo_matrix((np.ones(len(row)), (row, col)), shape=(n, n))
+    count, want = connected_components(adjacency, connection="weak")
+    got = components(n, row, col)
+    assert np.array_equal(got, want)
+    assert got.max() + 1 == count

@@ -106,26 +106,51 @@ def test_tabulated_profile_on_arrays(complex_values):
 
 
 def test_rates_with_shifts_leaves_quadrature_unloaded(tmp_path):
+    # no scipy module at all, after the rates with principal-value shifts, a
+    # trajectory of a generic 17-level system with shifts, and the 12-ring's
+    # classical kinetics, one after the other in one interpreter
+    bath = {"beta": 1.0, "kernel": "quadrature", "uv_cutoff": 20.0, "lamb_shift": True}
     doc = {
         "hamiltonian": [[0.0, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 1.9]],
         "couplings": [[[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
-        "bath": {"beta": 1.0, "kernel": "quadrature", "uv_cutoff": 20.0, "lamb_shift": True},
+        "bath": bath,
     }
     cfg = tmp_path / "sys.json"
     cfg.write_text(json.dumps(doc))
+    rng = np.random.default_rng(17)
+    levels = np.cumsum(rng.uniform(0.1, 0.3, 17))
+    phase = np.triu(np.exp(2j * np.pi * rng.uniform(size=(17, 17))), 1)
+    coupling = (phase + phase.conj().T) * (0.3 / 17)
+    generic = {
+        "hamiltonian": np.diag(levels).tolist(),
+        "couplings": [[[[z.real, z.imag] for z in row] for row in coupling]],
+        "bath": bath,
+    }
+    generic_cfg = tmp_path / "generic.json"
+    generic_cfg.write_text(json.dumps(generic))
+    runs = [
+        ["rates", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+        ["evolve", "--config", str(generic_cfg), "--initial", "0", "--t-max", "2", "--points", "20",
+         "--out", str(tmp_path / "e.csv")],
+        ["glauber", "--sites", "12", "--boundary", "periodic", "--beta", "1", "--out", str(tmp_path / "g.csv")],
+    ]
     src = os.path.dirname(os.path.dirname(stoclim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
-        "import sys; from stoclim import cli; "
-        f"code = cli.main(['rates', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'r.csv')!r}]); "
-        "print(code, 'scipy.integrate' in sys.modules)"
+        "import sys; from stoclim import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.split() == ["0", "False"]
+    assert out.splitlines() == ["0 []"] * 3
     # a header and the seven Bohr frequencies of three generic levels
     assert (tmp_path / "r.csv").read_text().count("\n") == 8
+    # a header and one row per time
+    assert (tmp_path / "e.csv").read_text().count("\n") == 21
+    assert (tmp_path / "g.csv").read_text().count("\n") == 101
 
 
 def test_thermal_shifts_against_mpmath():

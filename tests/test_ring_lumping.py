@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
 from stoclim import (
@@ -174,9 +175,9 @@ def test_start_fixed_by_the_reflection_only():
 
 def test_non_invariant_start_takes_the_unreduced_sparse_path(monkeypatch):
     calls = []
-    real = evolution.expm_multiply
+    real = scipy.sparse.linalg.expm_multiply
     monkeypatch.setattr(
-        evolution, "expm_multiply", lambda a, v: calls.append(a.shape[0]) or real(a, v)
+        scipy.sparse.linalg, "expm_multiply", lambda a, v: calls.append(a.shape[0]) or real(a, v)
     )
     cs = SpinChainSpec(n_sites=12, coupling=1.0, boundary="periodic")
     cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
