@@ -29,14 +29,11 @@ its rate matrix that fix the start (strong lumpability; Kemeny & Snell,
 orbits, so the all-up start of a uniform 12-ring steps on 118 orbits
 instead of a 1,848-state component.
 
-scipy is imported only where it is used: for the scipy views
-(``Generator.superoperator``, ``ClassicalKineticSystem.rate_matrix``) and
-what is computed on them (:func:`diagonal_restriction`,
-``Generator.dense_adjoint``, the generator actions), and for components
-larger than :data:`DENSE_KINETIC_STATES`, which step with scipy's
-``expm_multiply`` (Al-Mohy & Higham 2011).  Importing the package, and
-trajectories and stationary states on smaller components, load no scipy
-module.
+scipy only renders the public views (``Generator.superoperator``,
+``ClassicalKineticSystem.rate_matrix``, ``Generator.dense_adjoint``) and
+steps components larger than :data:`DENSE_KINETIC_STATES` with
+``expm_multiply`` (Al-Mohy & Higham 2011); everything else computes on the
+triples with numpy.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from ._sparse import Triples, as_triples, components, max_difference, summed, to_scipy
-from .generator import Generator, _blocks, vectorize, unvectorize
+from .generator import Generator, vectorize, unvectorize
 from .operators import SpectralData, dag
 
 __all__ = [
@@ -563,35 +560,31 @@ class ClassicalKineticSystem:
         return np.clip(p, 0.0, None) / p.sum()
 
 
-def diagonal_restriction(
-    gen: Generator, basis: np.ndarray | None = None
-) -> ClassicalKineticSystem:
+def diagonal_restriction(gen: Generator, basis: np.ndarray | None = None) -> ClassicalKineticSystem:
     """Population-sector rate matrix of the generator.
 
     The populations are taken along the eigenbasis of the spectral data (or
     any supplied orthonormal basis diagonalising the free Hamiltonian).  The
-    jump rate a -> b is ``<b| L(|a><a|) |b>``: ``P^dag S P`` for the sparse
-    eigenbasis superoperator ``S`` and the sparse map ``P`` from populations
-    to vectorised projectors ``|r_a><r_a|``, with ``r`` the requested basis
-    in the eigenbasis.  The diagonal is minus the column sums.
+    jump rate a -> b is ``<b| L(|a><a|) |b>``: ``P^dag S P`` for the
+    eigenbasis superoperator ``S`` and the map ``P`` from populations to
+    vectorised projectors ``|r_a><r_a|`` (``r`` the basis in the eigenbasis),
+    on the positions they reach; ``S P`` is taken entry by entry of ``S``.
+    The diagonal is minus the column sums.
     """
     d = gen.dim
-    if basis is None:
-        r = np.eye(d)
-    else:
-        r = dag(gen.spec.basis) @ np.asarray(basis, dtype=complex)
-    # column a of P: vectorize(|r_a><r_a|), the population projector a in the
-    # eigenbasis, whose entries pair the non-zero entries x, y of column a of r
-    data, rows, cols = [], [], []
-    for pos, col, row in _blocks(r[np.newaxis], np.where(r != 0.0, np.arange(d), -1).ravel()):
-        x, a = np.divmod(pos, d)
-        data.append((col @ row.conj())[:, 0].ravel())
-        rows.append((x[:, :, np.newaxis] + d * x[:, np.newaxis, :]).ravel())
-        cols.append(np.repeat(a[:, 0], a.shape[1] ** 2))
-    pops = to_scipy(
-        summed(np.concatenate(data), np.concatenate(rows), np.concatenate(cols), (d * d, d)), "csc"
-    )
-    k = np.real((pops.conj().T @ gen.superoperator @ pops).toarray())
+    r = np.eye(d) if basis is None else dag(gen.spec.basis) @ np.asarray(basis, dtype=complex)
+    reach = (r != 0.0).astype(float)
+    pos = np.flatnonzero((reach @ reach.T).ravel(order="F"))
+    # row i of P, at position pos[i] = x + d y, and its non-zero columns first
+    p = r[pos % d] * r[pos // d].conj()
+    cols = np.argsort(p == 0.0, axis=1, kind="stable")[:, : (p != 0.0).sum(axis=1).max()]
+    s = gen._triples
+    e = np.isin(s.row, pos) & np.isin(s.col, pos)
+    i, j = np.searchsorted(pos, s.row[e]), np.searchsorted(pos, s.col[e])
+    terms = s.data[e, np.newaxis] * np.take_along_axis(p, cols, axis=1)[j]
+    at = (d * i[:, np.newaxis] + cols[j]).ravel()
+    sp = [np.bincount(at, z.ravel(), p.size).reshape(p.shape) for z in (terms.real, terms.imag)]
+    k = p.real.T @ sp[0] + p.imag.T @ sp[1]
     np.fill_diagonal(k, 0.0)
     np.fill_diagonal(k, -k.sum(axis=0))
     # <r_a| H |r_a> in the eigenbasis, where H is diagonal
@@ -601,19 +594,27 @@ def diagonal_restriction(
     return cks
 
 
-def detailed_balance_residual(
-    cks: ClassicalKineticSystem, dist: np.ndarray
-) -> float:
+def detailed_balance_residual(cks: ClassicalKineticSystem, dist: np.ndarray) -> float:
     """Largest detailed-balance violation of ``dist`` for the jump process.
 
-    ``max over connected pairs |p_a W[a->b] - p_b W[b->a]|``.
+    ``max over connected pairs |p_a W[a->b] - p_b W[b->a]|``.  ``dist``
+    must have one finite entry per state, else ``ValueError``; it need not
+    sum to one.
     """
-    # flow[b, a] = W[a->b] p_a; the diagonal cancels in flow - flow.T
-    k = cks._triples
-    flow = k.data * np.asarray(dist, dtype=float)[k.col]
+    return float(np.abs(_balance_gap(cks._triples, dist).data).max(initial=0.0))
+
+
+def _balance_gap(k: Triples, dist) -> Triples:
+    """``flow - flow^T`` as triples, ``flow[b, a] = K[b, a] dist[a]``, ``dist`` checked."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (k.shape[0],):
+        raise ValueError(f"distribution must have shape ({k.shape[0]},), got {dist.shape}")
+    if not np.isfinite(dist).all():
+        raise ValueError("distribution has non-finite entries")
+    # the diagonal cancels
+    flow = k.data * dist[k.col]
     rows, cols = np.concatenate([k.row, k.col]), np.concatenate([k.col, k.row])
-    diff = summed(np.concatenate([flow, -flow]), rows, cols, k.shape)
-    return float(np.abs(diff.data).max(initial=0.0))
+    return summed(np.concatenate([flow, -flow]), rows, cols, k.shape)
 
 
 def gibbs_state(beta: float, spec: SpectralData) -> np.ndarray:

@@ -35,13 +35,13 @@ branch.  The shift Hamiltonian, the drift's damping sums and the
 superoperator are pair sums over entries of one frequency: ``A_i^dag A_j``
 pairs entries in one row, ``A_j A_i^dag`` entries in one column, and a jump
 term any two entries.  Lab-basis operators are rotations ``V X V^dag`` of
-this data; :attr:`Generator.channels`, the dense matrix and the actions in
-both pictures are views of the stacks and of the sparse eigenbasis
-superoperator, which is held as numpy triples and seen by scipy only
-through a view built on first access.  The
-first-order structure maps (commutators with the frequency components)
-reproduce, through their rate-weighted products, the deviation of ``L`` from
-being a derivation: the product-rule identity that pins down the pairing.
+this data; :attr:`Generator.channels` are views of the stacks.  The sparse
+eigenbasis superoperator is held as numpy triples, which the actions in both
+pictures multiply directly; scipy sees it only through the CSR view and the
+dense lab-basis export.  The first-order structure maps (commutators with
+the frequency components) reproduce, through their rate-weighted products,
+the deviation of ``L`` from being a derivation: the product-rule identity
+that pins down the pairing.
 """
 
 from __future__ import annotations
@@ -208,11 +208,11 @@ class Generator:
     on channel k is ``C_j`` masked by ``channel_of == k``; :attr:`channels`
     are views of the stacks.  The Schroedinger-picture superoperator is
     assembled once, lazily, in the energy eigenbasis, as the summed,
-    zero-free (data, row, col) triples that the solvers read with numpy
-    (column-stacking convention throughout).  :attr:`superoperator` is a
-    scipy CSR view of them, and the dense lab-basis matrix and the actions
-    in both pictures are computed on that view; these are the only parts of
-    a generator that import scipy.
+    zero-free (data, row, col) triples that the solvers read and the actions
+    in both pictures multiply with numpy (column-stacking convention
+    throughout).  :attr:`superoperator`, a scipy CSR view of them, and the
+    dense lab-basis matrix :attr:`dense_adjoint` are the only parts of a
+    generator that import scipy.
     """
 
     spec: SpectralData
@@ -401,20 +401,26 @@ def build_drift(
     return build_generator(spec, couplings, table, bohr)._drift
 
 
-def _eigen_action(gen: Generator, superop, x: np.ndarray) -> np.ndarray:
-    v = gen.spec.basis
-    y = superop @ vectorize(dag(v) @ np.asarray(x, dtype=complex) @ v)
+def _eigen_action(gen: Generator, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """``S x``, or ``S^dag x`` with ``adjoint``, for the eigenbasis triples S
+    and a lab-basis ``x``; each entry adds its terms in the order of the
+    triples."""
+    v, s = gen.spec.basis, gen._triples
+    data, src, tgt = (s.data.conj(), s.row, s.col) if adjoint else (s.data, s.col, s.row)
+    terms = data * vectorize(dag(v) @ np.asarray(x, dtype=complex) @ v)[src]
+    y = np.empty(gen.dim**2, dtype=complex)
+    y.real, y.imag = np.bincount(tgt, terms.real, len(y)), np.bincount(tgt, terms.imag, len(y))
     return v @ unvectorize(y, gen.dim) @ dag(v)
 
 
 def apply_heisenberg(gen: Generator, x: np.ndarray) -> np.ndarray:
     """Generator action on an observable (Hilbert-Schmidt adjoint)."""
-    return _eigen_action(gen, gen.superoperator.conj().T, x)
+    return _eigen_action(gen, x, adjoint=True)
 
 
 def apply_adjoint(gen: Generator, rho: np.ndarray) -> np.ndarray:
     """Schroedinger-picture action on an arbitrary matrix (no state checks)."""
-    return _eigen_action(gen, gen.superoperator, rho)
+    return _eigen_action(gen, rho, adjoint=False)
 
 
 def apply_schroedinger(gen: Generator, rho: np.ndarray) -> np.ndarray:

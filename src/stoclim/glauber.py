@@ -369,7 +369,7 @@ def classical_glauber_generator(
     candidates = [mirror]
     if cs.boundary == "periodic":
         candidates.append((configs >> 1) | ((configs & 1) << (n - 1)))
-    system = ClassicalKineticSystem(energies=configuration_energies(cs), rate_matrix=k)
+    system = ClassicalKineticSystem(energies=configuration_energy(cs, spins), rate_matrix=k)
     system.validate()
     # validate's invariance test, kept candidates only
     system.symmetries = tuple(p for p in candidates if _symmetry_defect(k, p) <= _RATE_TOL)

@@ -14,6 +14,7 @@ from stoclim import (
     CorrelationTable,
     SpinChainSpec,
     TabulatedProfile,
+    apply_heisenberg,
     bohr_frequencies,
     build_generator,
     correlation_table,
@@ -25,7 +26,10 @@ from stoclim import (
     pv_lamb_shift,
     quantum_glauber_generator,
     spectral_decompose,
+    unvectorize,
+    vectorize,
 )
+from stoclim.generator import apply_adjoint
 
 
 def reference_table(bath, bohr, n):
@@ -369,3 +373,48 @@ def test_population_block_with_large_shifts_in_a_rotated_degenerate_basis():
     mix[1:3, 1:3] = random_unitary(np.random.default_rng(75), 2)
     k = diagonal_restriction(gen, basis=spec.basis @ mix).rate_matrix.toarray()
     assert -1e-8 < min(k[1, 2], k[2, 1]) < -1e-10
+
+
+def generic_17_generator():
+    spec, coupling, bath = generic_17()
+    bohr = bohr_frequencies(spec)
+    return build_generator(spec, [coupling], correlation_table(bath, bohr, 1), bohr)
+
+
+def ring_generator():
+    cs = SpinChainSpec(n_sites=4, coupling=1.0, boundary="periodic")
+    return quantum_glauber_generator(cs, ring()[2])
+
+
+ORACLE_SYSTEMS = {"generic_17": generic_17_generator, "ring": ring_generator}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_actions_match_the_csr_view(name):
+    # the actions multiply the triples; the CSR view and its conjugate
+    # transpose are the oracle
+    gen = ORACLE_SYSTEMS[name]()
+    d, v = gen.dim, gen.spec.basis
+    rng = np.random.default_rng(76)
+    x, y = (random_hermitian(rng, d) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+    s = gen.superoperator
+    for action, view in ((apply_adjoint, s), (apply_heisenberg, s.conj().T)):
+        want = v @ unvectorize(view @ vectorize(v.conj().T @ x @ v), d) @ v.conj().T
+        assert np.abs(action(gen, x) - want).max() <= 1e-15 * np.abs(want).max()
+    # Hilbert-Schmidt duality: <Y, L(X)> = <L*(Y), X>
+    lx = apply_adjoint(gen, x)
+    dual = np.vdot(apply_heisenberg(gen, y), x)
+    assert abs(np.vdot(y, lx) - dual) <= 1e-12 * np.linalg.norm(lx) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_population_block_in_the_eigenbasis_is_the_dense_product(name):
+    # in the eigenbasis each population projector is one matrix unit, so the
+    # block is exactly the superoperator's population entries
+    gen = ORACLE_SYSTEMS[name]()
+    d = gen.dim
+    diag = np.arange(d) * (d + 1)
+    want = gen.superoperator.toarray()[np.ix_(diag, diag)].real
+    np.fill_diagonal(want, 0.0)
+    np.fill_diagonal(want, -want.sum(axis=0))
+    assert np.array_equal(diagonal_restriction(gen).rate_matrix.toarray(), want)

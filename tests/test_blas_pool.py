@@ -6,7 +6,9 @@ start a second thread pool that contends with numpy's.  The sources are
 parsed with the standard library's ``ast``, as in ``test_dead_code.py``;
 ``scipy.sparse.linalg`` (sparse products only) stays allowed.  Importing
 ``scipy.sparse`` takes most of the package's start-up, so no module imports
-scipy when it is itself imported.
+scipy when it is itself imported, and only the scipy views of the package's
+sparse triples, the dense export and the large kinetic blocks know scipy's
+formats.
 """
 
 import ast
@@ -56,6 +58,71 @@ def test_no_module_imports_scipy_when_imported():
         for line in module_level_scipy_imports(ast.parse(path.read_text()))
     ]
     assert found == []
+
+
+def scoped(tree, scope=""):
+    """``(scope, node)`` for every node below ``tree``, with ``scope`` the
+    dotted name of the innermost enclosing function or class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped(node, f"{scope}.{node.name}".lstrip("."))
+        else:
+            yield scope, node
+            yield from scoped(node, scope)
+
+
+def format_uses(tree):
+    """``(scope, what)`` for each call of ``to_scipy`` and each read of the
+    ``superoperator`` and ``rate_matrix`` views."""
+    for scope, node in scoped(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "to_scipy":
+                yield scope, "to_scipy"
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr in ("superoperator", "rate_matrix"):
+                yield scope, node.attr
+
+
+def test_only_the_views_know_the_scipy_format():
+    # the solvers, the actions, the population block and the CLI compute on
+    # the triples; scipy renders the views, the dense export and the blocks
+    # that step with expm_multiply
+    allowed = {
+        ("Generator.superoperator", "to_scipy"),
+        ("ClassicalKineticSystem.rate_matrix", "to_scipy"),
+        ("_Components._blocks", "to_scipy"),
+        ("Generator.dense_adjoint", "superoperator"),
+    }
+    found = [
+        f"{path.name}:{scope}: {what}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope, what in format_uses(ast.parse(path.read_text()))
+        if (scope, what) not in allowed
+    ]
+    assert found == []
+
+
+def test_the_format_guard_sees_every_spelling():
+    flagged = {
+        "def f(t):\n    return to_scipy(t, 'csr')": [("f", "to_scipy")],
+        "def f(t):\n    return _sparse.to_scipy(t, 'csc')": [("f", "to_scipy")],
+        "class A:\n    def f(self, gen):\n        return gen.superoperator @ x": [
+            ("A.f", "superoperator")
+        ],
+        "def f(cks):\n    return cks.rate_matrix.diagonal()": [("f", "rate_matrix")],
+        "x = cks.rate_matrix": [("", "rate_matrix")],
+    }
+    for source, want in flagged.items():
+        assert list(format_uses(ast.parse(source))) == want, source
+    ignored = [
+        "def rate_matrix(self):\n    pass",
+        "def f(rate_matrix):\n    return rate_matrix",
+        "def f(self, s):\n    self.superoperator = s",
+    ]
+    for source in ignored:
+        assert not list(format_uses(ast.parse(source))), source
 
 
 def test_no_module_uses_scipy_linalg():

@@ -369,6 +369,21 @@ def test_sparse_classical_generator():
     assert np.abs(k @ p_g).max() < 1e-12 * np.abs(k.toarray()).max()
 
 
+def test_classical_generator_enumerates_the_configurations_once(monkeypatch):
+    import stoclim.glauber
+
+    calls = []
+    enumerate_all = stoclim.glauber.spin_configurations
+    monkeypatch.setattr(
+        stoclim.glauber, "spin_configurations", lambda n: calls.append(n) or enumerate_all(n)
+    )
+    cs = SpinChainSpec(n_sites=6, coupling=[1.0, 0.5, 1.5, 1.0, 2.0, 0.7], boundary="periodic")
+    cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
+    assert calls == [6]
+    monkeypatch.undo()
+    assert np.array_equal(cks.energies, configuration_energies(cs))
+
+
 def test_classical_site_cap():
     with pytest.raises(ValueError):
         classical_glauber_generator(

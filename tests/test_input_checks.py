@@ -14,7 +14,9 @@ from stoclim import (
     build_generator,
     classical_glauber_generator,
     correlation_table,
+    detailed_balance_residual,
     evolve,
+    gibbs_distribution,
     n_scaling_experiment,
     spectral_decompose,
 )
@@ -93,6 +95,28 @@ def test_kinetic_start_that_does_not_sum_to_one_rejected():
         cks.evolve(p0, [0.0, 1.0])
     p0[0] = 1.0 + 1e-13
     assert cks.evolve(p0, [0.0, 1.0]).shape == (2, 16)
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        (np.full(17, 1.0 / 17), r"distribution must have shape \(16,\), got \(17,\)"),
+        (np.full(15, 1.0 / 15), r"distribution must have shape \(16,\), got \(15,\)"),
+        (1.0 / 16, r"distribution must have shape \(16,\), got \(\)"),
+        (np.full(16, np.nan), "distribution has non-finite entries"),
+    ],
+    ids=["long", "short", "scalar", "nan"],
+)
+def test_detailed_balance_distribution_of_the_wrong_shape_rejected(dist, message):
+    # a tail was ignored, a short or scalar one raised a bare IndexError
+    with pytest.raises(ValueError, match=message):
+        detailed_balance_residual(ring4(), dist)
+
+
+def test_detailed_balance_distribution_need_not_sum_to_one():
+    cks = ring4()
+    p = gibbs_distribution(1.0, cks.energies)
+    assert detailed_balance_residual(cks, 3.0 * p) <= 1e-12
 
 
 def test_nan_trace_counts_as_drift():

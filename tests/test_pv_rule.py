@@ -153,6 +153,43 @@ def test_rates_with_shifts_leaves_quadrature_unloaded(tmp_path):
     assert (tmp_path / "g.csv").read_text().count("\n") == 101
 
 
+def test_check_suites_and_generator_export_leave_scipy_unloaded(tmp_path):
+    # no scipy module after every check suite, the detailed-balance suite with
+    # an injected fault and on an explicit system (through the population
+    # block), and the generator export without its dense file, one after the
+    # other in one interpreter
+    doc = {
+        "hamiltonian": [[0.0, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 1.9]],
+        "couplings": [[[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+        "bath": {"beta": 1.0, "kernel": "quadrature", "uv_cutoff": 20.0, "lamb_shift": True},
+    }
+    cfg = tmp_path / "sys.json"
+    cfg.write_text(json.dumps(doc))
+    suites = ["detailed-balance", "leibniz", "positivity", "scaling", "coherence-control"]
+    runs = [["check", "--suite", suite, "--out", str(tmp_path / f"{suite}.json")] for suite in suites]
+    runs += [
+        ["check", "--suite", "detailed-balance", "--corrupt-rate", "0,1,2", "--out", str(tmp_path / "fault.json")],
+        ["check", "--suite", "detailed-balance", "--config", str(cfg), "--out", str(tmp_path / "db.json")],
+        ["generator", "--config", str(cfg), "--out", str(tmp_path / "gen.json")],
+    ]
+    src = os.path.dirname(os.path.dirname(stoclim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; from stoclim import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    code = cli.main(argv)\n"
+        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    # the injected fault fails its suite
+    assert out.splitlines() == ["0 []"] * 5 + ["1 []", "0 []", "0 []"]
+    assert json.loads((tmp_path / "fault.json").read_text())["injected_fault"] == [0, 1, 2.0]
+    assert json.loads((tmp_path / "db.json").read_text())["passed"] is True
+    assert json.loads((tmp_path / "gen.json").read_text())["dim"] == 3
+
+
 def test_thermal_shifts_against_mpmath():
     mp = pytest.importorskip("mpmath")
     beta, cutoff = 1.0, 50.0
