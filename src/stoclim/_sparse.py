@@ -26,27 +26,23 @@ class Triples(NamedTuple):
     shape: tuple
 
 
-def _keys(shape: tuple, row, col) -> np.ndarray:
-    """Column-major position of each (row, col) pair."""
-    return np.asarray(col, dtype=np.int64) * shape[0] + row
-
-
 def summed(data, row, col, shape: tuple) -> Triples:
     """Triples of a list of entries: entries at one position are added left
     to right in the order given, after a stable sort, as scipy's COO
     constructors add them, and sums that are zero are dropped.  Entries
     already in column-major order, each position once, are not sorted."""
     data, row, col = np.asarray(data), np.asarray(row), np.asarray(col)
-    key = _keys(shape, row, col)
+    # column-major position of each entry
+    key = np.asarray(col, dtype=np.int64) * shape[0] + row
     if not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
         key, data = key[order], data[order]
-        start = np.flatnonzero(np.diff(key, prepend=-1))
-        run = np.diff(start, append=len(key))
-        out = data[start]
-        for j in range(1, run.max(initial=1)):
-            live = np.flatnonzero(run > j)
-            out[live] += data[start[live] + j]
+        first = np.diff(key, prepend=-1) != 0
+        start, run = np.flatnonzero(first), np.cumsum(first) - 1
+        # one bincount adds each run left to right, real and imaginary parts apart
+        out = np.bincount(run, data.real).astype(data.dtype)
+        if np.iscomplexobj(data):
+            out.imag = np.bincount(run, data.imag)
         data, row, col = out, row[order[start]], col[order[start]]
     keep = np.flatnonzero(data)
     return Triples(data[keep], row[keep], col[keep], tuple(shape))
@@ -69,13 +65,8 @@ def as_triples(m, dtype) -> Triples:
 def max_difference(t: Triples, data, row, col) -> float:
     """``max |T - M|`` over all positions, for M given by its entries
     ``data[e]`` at ``(row[e], col[e])``, each position once."""
-    key, other = _keys(t.shape, t.row, t.col), _keys(t.shape, row, col)
-    order = np.argsort(other)
-    if np.array_equal(other[order], key):
-        diff = np.asarray(data)[order] - t.data
-    else:
-        rows, cols = np.concatenate([t.row, row]), np.concatenate([t.col, col])
-        diff = summed(np.concatenate([t.data, -np.asarray(data)]), rows, cols, t.shape).data
+    rows, cols = np.concatenate([t.row, row]), np.concatenate([t.col, col])
+    diff = summed(np.concatenate([t.data, -np.asarray(data)]), rows, cols, t.shape).data
     return float(np.abs(diff).max(initial=0.0))
 
 

@@ -25,9 +25,9 @@ and LAPACK call runs in numpy's library; it keeps unit column sums for
 blocks whose columns sum to zero, so probability does not drift.  A
 classical system first lumps onto the orbits of the declared symmetries of
 its rate matrix that fix the start (strong lumpability; Kemeny & Snell,
-*Finite Markov Chains*, 1960, section 6.3), summing the triples over
-orbits, so the all-up start of a uniform 12-ring steps on 118 orbits
-instead of a 1,848-state component.
+*Finite Markov Chains*, 1960, section 6.3), summing one column per orbit
+over the orbits, so the all-up start of a uniform 12-ring steps on 118
+orbits instead of a 1,848-state component.
 
 scipy only renders the public views (``Generator.superoperator``,
 ``ClassicalKineticSystem.rate_matrix``, ``Generator.dense_adjoint``) and
@@ -408,10 +408,10 @@ _RATE_TOL = 1e-10
 
 def _symmetry_defect(k: Triples, perm) -> float:
     """``max |K[perm][:, perm] - K|`` relative to ``max(1, max|K|)``; inf when
-    ``perm`` is not a permutation of the states."""
+    ``perm`` is not an integer permutation of the states."""
     n = k.shape[0]
     perm = np.asarray(perm)
-    if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
+    if perm.shape != (n,) or perm.dtype.kind not in "iu" or (np.sort(perm) != np.arange(n)).any():
         return math.inf
     inv = np.empty(n, dtype=int)
     inv[perm] = np.arange(n)
@@ -522,18 +522,19 @@ class ClassicalKineticSystem:
         ``ValueError``).  The symmetries that fix ``p0`` exactly split the
         states into orbits, and K lumps exactly onto orbit sums (strong
         lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960, section
-        6.3): the chain runs on ``Q = L K R``, with L the orbit indicator
-        and R spreading each orbit uniformly, and each orbit's probability
-        is shared out evenly again.  With no such symmetry every orbit is
-        one state and Q is K.  Q steps from sample to sample, starting at
-        t = 0, on the connected components that ``L p0`` touches; each time
-        gives one row, and the times must be a non-empty 1-d sequence,
-        finite, non-negative and non-decreasing (else ``ValueError``).  A
-        component of up to ``DENSE_KINETIC_STATES`` orbits costs one
-        ``expm`` per distinct step at any horizon, with its columns set to
-        sum to one so that probability does not drift; a larger one steps
-        with ``expm_multiply``, which needs about ``|Q|_1 dt`` sparse
-        products.
+        6.3): the chain runs on ``Q = L K R``, with L the orbit indicator and R
+        picking each orbit's smallest state, as all columns of an orbit have
+        the same orbit sums (Q is exact up to the invariance defect that
+        :meth:`validate` allows); each orbit's probability is shared out evenly
+        again.  With no such symmetry every orbit is one state and Q is K.  Q
+        steps from sample to sample, starting at t = 0, on the connected
+        components that ``L p0`` touches; each time gives one row, and the
+        times must be a non-empty 1-d sequence, finite, non-negative and
+        non-decreasing (else ``ValueError``).  A component of up to
+        ``DENSE_KINETIC_STATES`` orbits costs one ``expm`` per distinct step at
+        any horizon, its columns set to sum to one so that probability does not
+        drift; a larger one steps with ``expm_multiply``, in about ``|Q|_1 dt``
+        sparse products.
         """
         p0 = self._start(p0)
         states = np.arange(self.size)
@@ -541,9 +542,9 @@ class ClassicalKineticSystem:
         orbit = components(self.size, np.tile(states, len(perms)), np.concatenate(perms))
         sizes = np.bincount(orbit)
         k = self._triples
-        # Q[o, o'] = sum of K over o x o', spread over the |o'| states of o'
-        q = summed(k.data, orbit[k.row], orbit[k.col], (len(sizes), len(sizes)))
-        q = q._replace(data=q.data * (1.0 / sizes)[q.col])
+        # Q[o, o'] = sum of K over o x {rep(o')}, rep(o') the first state labelled o'
+        e = np.flatnonzero((np.diff(np.maximum.accumulate(orbit), prepend=-1) > 0)[k.col])
+        q = summed(k.data[e], orbit[k.row[e]], orbit[k.col[e]], (len(sizes),) * 2)
         lumped = np.bincount(orbit, weights=p0, minlength=len(sizes))
         return _Components(q).propagate(lumped, times)[:, orbit] / sizes[orbit]
 

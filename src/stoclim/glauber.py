@@ -42,7 +42,7 @@ from .bath import (
     correlation_table,
     emission_rate,
 )
-from .evolution import ClassicalKineticSystem, _RATE_TOL, _symmetry_defect
+from .evolution import ClassicalKineticSystem, _RATE_TOL
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
@@ -331,11 +331,12 @@ def classical_glauber_generator(
     rate, so K can split into disconnected components (9 on the 12-ring,
     the all-up one with 1,848 states); the solvers treat each on its own.
 
-    Two candidate symmetries act on the configuration indices by bit
-    operations: the one-site rotation (periodic chains only) and the
-    reflection r -> n-1-r.  Each is kept in ``symmetries`` only if K is
-    invariant under it, which holds for uniform couplings and equal form
-    factors and fails for random bonds or per-site form factors; an
+    Two candidate symmetries move each site r to s[r]: the reflection
+    r -> n-1-r and, on periodic chains, the rotation r -> r+1.  Each is kept
+    in ``symmetries`` only if K is invariant under it, read off the flip
+    rates: flipping s[r] in the image of every configuration must have the
+    rate of flipping r in it.  That holds for uniform couplings and equal
+    form factors and fails for random bonds or per-site form factors; an
     invariant start, such as the all-up ground configuration, then evolves
     on the orbits (118 of them in the 12-ring's all-up component).
     """
@@ -348,8 +349,19 @@ def classical_glauber_generator(
     flips = configs[:, np.newaxis] ^ (1 << (n - 1 - np.arange(n)))
     rates = np.empty((size, n))
     for r in range(n):
-        levels, level_of = np.unique(energy_release(cs, spins, r), return_inverse=True)
-        rates[:, r] = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])[level_of]
+        released = energy_release(cs, spins, r)
+        levels = np.unique(released)
+        rated = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
+        rates[:, r] = rated[np.searchsorted(levels, released)]
+    # the image of a configuration under the site map s has the spin of site r at s[r]
+    maps = np.array([n - 1 - np.arange(n), (np.arange(n) + 1) % n][: 1 + (cs.boundary == "periodic")])
+    perms = (1 << (n - 1 - maps)) @ (spins < 0).T
+    # K[perm][:, perm] == K off the diagonal exactly when rates[perm][:, s] ==
+    # rates, read here by flat index without a copy of the table, and the
+    # outflows then agree to rounding; max|K| is the largest outflow
+    flat, tol = rates.ravel(), _RATE_TOL * max(1.0, rates.sum(axis=1).max())
+    symmetries = tuple(p for p, s in zip(perms, maps)
+                       if all(np.abs(flat[n * p + s[r]] - rates[:, r]).max() <= tol for r in range(n)))
     # each column's outflow adds its rates in row order, the zero rates of
     # energy-neutral flips included, by the pairwise reduceat of a CSC column sum
     order = np.argsort(flips, axis=1)
@@ -362,17 +374,9 @@ def classical_glauber_generator(
     rows[diagonal], vals[diagonal] = configs, -outflow
     rows[~diagonal], vals[~diagonal] = flips.ravel(), rates.ravel()
     k = summed(vals.ravel(), rows.ravel(), np.repeat(configs, n + 1), (size, size))
-    # site r is bit n-1-r of the index
-    mirror = np.zeros_like(configs)
-    for r in range(n):
-        mirror |= ((configs >> r) & 1) << (n - 1 - r)
-    candidates = [mirror]
-    if cs.boundary == "periodic":
-        candidates.append((configs >> 1) | ((configs & 1) << (n - 1)))
     system = ClassicalKineticSystem(energies=configuration_energy(cs, spins), rate_matrix=k)
     system.validate()
-    # validate's invariance test, kept candidates only
-    system.symmetries = tuple(p for p in candidates if _symmetry_defect(k, p) <= _RATE_TOL)
+    system.symmetries = symmetries
     return system
 
 

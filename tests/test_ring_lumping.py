@@ -24,6 +24,7 @@ from stoclim import (
     configuration_magnetizations,
 )
 from stoclim import evolution
+from stoclim.evolution import _RATE_TOL, _symmetry_defect
 
 
 def unreduced(cks):
@@ -196,9 +197,69 @@ def test_wrongly_declared_symmetry_is_rejected():
     cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
     idx = np.arange(cks.size)
     rotation = (idx >> 1) | ((idx & 1) << 5)
-    for perm in (rotation, idx[:-1], np.zeros_like(idx)):
+    for perm in (rotation, idx[:-1], np.zeros_like(idx), idx.astype(float)):
         bad = ClassicalKineticSystem(cks.energies, cks.rate_matrix, (idx, perm))
         with pytest.raises(ValueError, match="not invariant under symmetry 1"):
             bad.validate()
     # the identity holds for any rate matrix
     ClassicalKineticSystem(cks.energies, cks.rate_matrix, (idx,)).validate()
+
+
+def candidate_symmetries(n, boundary):
+    """The reflection r -> n-1-r and, on a ring, the rotation r -> r+1, as
+    index permutations built bit by bit."""
+    idx = np.arange(2**n)
+    mirror = np.zeros_like(idx)
+    for r in range(n):
+        mirror |= ((idx >> r) & 1) << (n - 1 - r)
+    rotation = (idx >> 1) | ((idx & 1) << (n - 1))
+    return [mirror] + ([rotation] if boundary == "periodic" else [])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_kept_symmetries_are_those_the_invariance_check_keeps(n):
+    rng = np.random.default_rng(40 + n)
+    kept = rejected = 0
+    for boundary in ("open", "periodic"):
+        n_bonds = SpinChainSpec(n_sites=n, boundary=boundary).n_bonds
+        x = rng.uniform(0.5, 1.5, n_bonds)
+        # the reflection takes bond r to bond n-2-r
+        bonds = (1.0, tuple(x), tuple((x + x[(n - 2 - np.arange(n_bonds)) % n_bonds]) / 2))
+        widths = rng.uniform(1.0, 3.0, n)
+        baths = (
+            BathSpec(beta=1.0, form_factors=[lambda w: math.exp(-w / 2.0)] * n),
+            BathSpec(beta=1.0, form_factors=[lambda w, s=s: math.exp(-w / s) for s in widths]),
+        )
+        for coupling in bonds:
+            cs = SpinChainSpec(n_sites=n, coupling=coupling, boundary=boundary)
+            for bath in baths:
+                cks = classical_glauber_generator(cs, bath)
+                want = [p for p in candidate_symmetries(n, boundary)
+                        if _symmetry_defect(cks._triples, p) <= _RATE_TOL]
+                assert len(cks.symmetries) == len(want)
+                assert all(np.array_equal(p, q) for p, q in zip(cks.symmetries, want))
+                kept += len(want)
+                rejected += len(candidate_symmetries(n, boundary)) - len(want)
+    assert kept and (rejected or n == 2)
+
+
+@pytest.mark.parametrize("n,beta,t_max", [(12, 1.0, 0.1), (8, 3.0, 10.0)])
+def test_lumping_reads_one_column_per_orbit(n, beta, t_max, monkeypatch):
+    cs = SpinChainSpec(n_sites=n, coupling=1.0, boundary="periodic")
+    cks = classical_glauber_generator(cs, BathSpec(beta=beta))
+    passed = []
+    real = evolution.summed
+
+    def spy(data, row, col, shape):
+        passed.append((len(data), shape))
+        return real(data, row, col, shape)
+
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "summed", spy)
+        p0, times = delta(cks.size, 0), np.linspace(0.0, t_max, 20)
+        got = cks.evolve(p0, times)
+    orbits = ring_orbits(n).max() + 1
+    # every column of K holds at most n flips and the diagonal
+    assert passed[0][1] == (orbits, orbits)
+    assert passed[0][0] <= (n + 1) * orbits < cks.rate_matrix.nnz
+    assert np.abs(got - unreduced(cks).evolve(p0, times)).max() <= 1e-12

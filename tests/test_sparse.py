@@ -94,6 +94,39 @@ def test_summed_adds_duplicates_in_the_order_given_and_drops_zeros():
     assert (t.row.tolist(), t.col.tolist()) == ([0], [1])
 
 
+def looped_sum(data, row, col, shape):
+    """Duplicates added run by run in a Python loop over the run lengths."""
+    key = col.astype(np.int64) * shape[0] + row
+    order = np.argsort(key, kind="stable")
+    key, data = key[order], data[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    run = np.diff(start, append=len(key))
+    out = data[start]
+    for j in range(1, run.max(initial=1)):
+        live = np.flatnonzero(run > j)
+        out[live] += data[start[live] + j]
+    keep = np.flatnonzero(out)
+    return out[keep], row[order[start]][keep], col[order[start]][keep]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_summed_is_bit_identical_to_adding_each_run_in_a_loop(dtype):
+    rng = np.random.default_rng(21)
+    # runs of 1 to 50 entries at shuffled positions, magnitudes over 30 decades
+    runs = rng.integers(1, 51, 300)
+    pos = rng.permutation(40 * 40)[: len(runs)]
+    key = rng.permutation(np.repeat(pos, runs))
+    data = rng.standard_normal(len(key)) * 10.0 ** rng.integers(-15, 16, len(key))
+    if dtype is complex:
+        data = data + 1j * rng.standard_normal(len(key)) * 10.0 ** rng.integers(-15, 16, len(key))
+    row, col = key % 40, key // 40
+    t = summed(data, row, col, (40, 40))
+    want = looped_sum(data, row, col, (40, 40))
+    assert runs.max() == 50 and t.data.dtype == dtype
+    for got, ref in zip(t[:3], want):
+        assert np.array_equal(got, ref)
+
+
 def test_max_difference_sees_entries_on_either_side():
     rng = np.random.default_rng(5)
     a = np.where(rng.random((6, 6)) < 0.4, rng.standard_normal((6, 6)), 0.0)
