@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import BohrSet, _first_within
+from .operators import BohrSet, _first_within, _unique
 
 __all__ = [
     "BathConfigurationError",
@@ -363,7 +363,7 @@ def _rule(a: float, b: float, nodes: tuple) -> tuple:
     graded = [a + s, b - s[:-1], *(x + sign * s for x in nodes for sign in (1, -1))]
     (x_hi, w_hi), (x_lo, w_lo) = (np.polynomial.legendre.leggauss(k) for k in _ORDERS)
     weights = 0.5 * np.array([np.append(w_hi, 0 * w_lo), np.append(0 * w_hi, w_lo)]).T
-    edges = np.unique(np.clip(np.concatenate(graded), a, b))
+    edges = _unique(np.clip(np.concatenate(graded), a, b))
     return edges, 0.5 + 0.5 * np.append(x_hi, x_lo), weights
 
 
@@ -435,7 +435,7 @@ def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, rule: 
             break
         mid = 0.5 * (lo + hi)
         lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.tile(owner, 2)
-    for p in np.unique(owner):
+    for p in _unique(owner):
         failed[p] = _unresolved(poles[p], inside[p], lo[owner == p], hi[owner == p])
     if failed:
         p = min(failed)

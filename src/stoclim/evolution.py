@@ -23,11 +23,14 @@ Padé approximants with degree and squarings chosen from the 1-norm alone
 (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), so every dense BLAS
 and LAPACK call runs in numpy's library; it keeps unit column sums for
 blocks whose columns sum to zero, so probability does not drift.  A
-classical system first lumps onto the orbits of the declared symmetries of
-its rate matrix that fix the start (strong lumpability; Kemeny & Snell,
-*Finite Markov Chains*, 1960, section 6.3), summing one column per orbit
-over the orbits, so the all-up start of a uniform 12-ring steps on 118
-orbits instead of a 1,848-state component.
+classical system reads its rate matrix by columns, from its triples or, for
+a Glauber chain, computed from its local flip-rate table.  It first lumps
+onto the orbits of the declared symmetries of its rate matrix that fix the
+start (strong lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960,
+section 6.3), summing one column per orbit over the orbits; only those
+columns are read, so the all-up start of a uniform 12-ring steps on 118
+orbits instead of a 1,848-state component, and the chain's full rate matrix
+is never assembled.
 
 scipy only renders the public views (``Generator.superoperator``,
 ``ClassicalKineticSystem.rate_matrix``, ``Generator.dense_adjoint``) and
@@ -47,7 +50,7 @@ import numpy as np
 
 from ._sparse import Triples, as_triples, components, max_difference, summed, to_scipy
 from .generator import Generator, vectorize, unvectorize
-from .operators import SpectralData, dag
+from .operators import SpectralData, _unique, dag
 
 __all__ = [
     "TRACE_DRIFT_BOUND",
@@ -260,7 +263,7 @@ class _Components:
         of the g blocks on its diagonal above."""
         m, sizes = self.m, self.sizes[comps]
         at = self.label[m.row]
-        for s in np.unique(sizes):
+        for s in _unique(sizes):
             these = comps[sizes == s]
             idx = self.order[self.starts[these, np.newaxis] + np.arange(s)]
             slot = np.full(len(self.sizes), -1)
@@ -299,7 +302,7 @@ class _Components:
             k = int(np.argmax(steps < 0))
             raise ValueError(f"{contract}, got {times[k]} after {times[k - 1]}")
         out = np.zeros((len(times), len(v0)), dtype=np.result_type(self.m.data.dtype, v0))
-        for idx, block in self._blocks(np.unique(self.label[v0 != 0]), DENSE_KINETIC_STATES):
+        for idx, block in self._blocks(_unique(self.label[v0 != 0]), DENSE_KINETIC_STATES):
             v, h, dense = v0[idx], None, isinstance(block, np.ndarray)
             if not dense:
                 from scipy.sparse.linalg import expm_multiply
@@ -452,7 +455,11 @@ class ClassicalKineticSystem:
     so columns sum to zero and ``dp/dt = K p``.  It is given dense or as a
     scipy sparse matrix and held as float triples, which the solvers read;
     the attribute is a float ``scipy.sparse.csc_matrix`` view of them, built
-    on first access, that ``np.asarray`` reads as the dense array.
+    on first access, that ``np.asarray`` reads as the dense array.  The
+    lumped propagation reads K by columns (:meth:`_columns`), so a subclass
+    that computes columns on request, as the Glauber chain of
+    :func:`~stoclim.glauber.classical_glauber_generator` does, need not
+    hold the triples until they are read.
     ``symmetries`` holds state permutations (index arrays) under which K is
     invariant, ``K[perm][:, perm] == K``; :meth:`evolve` propagates on their
     orbits when the start is invariant too.
@@ -473,6 +480,15 @@ class ClassicalKineticSystem:
     @property
     def size(self) -> int:
         return self._triples.shape[0]
+
+    def _columns(self, states: np.ndarray) -> tuple:
+        """Entries ``(data, row, col)`` of K's columns ``states`` (increasing
+        indices), column by column in row order, zero-free."""
+        wanted = np.zeros(self.size, dtype=bool)
+        wanted[states] = True
+        k = self._triples
+        e = np.flatnonzero(wanted[k.col])
+        return k.data[e], k.row[e], k.col[e]
 
     def validate(self) -> None:
         """Check finiteness, non-negative jump rates, zero column sums and
@@ -524,11 +540,11 @@ class ClassicalKineticSystem:
         lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960, section
         6.3): the chain runs on ``Q = L K R``, with L the orbit indicator and R
         picking each orbit's smallest state, as all columns of an orbit have
-        the same orbit sums (Q is exact up to the invariance defect that
-        :meth:`validate` allows); each orbit's probability is shared out evenly
-        again.  With no such symmetry every orbit is one state and Q is K.  Q
-        steps from sample to sample, starting at t = 0, on the connected
-        components that ``L p0`` touches; each time gives one row, and the
+        the same orbit sums; only those columns of K are read (Q is exact up
+        to the invariance defect that :meth:`validate` allows).  Each orbit's
+        probability is shared out evenly again.  With no such symmetry every
+        orbit is one state and Q is K.  Q steps from sample to sample,
+        starting at t = 0, on the connected components that ``L p0`` touches; each time gives one row, and the
         times must be a non-empty 1-d sequence, finite, non-negative and
         non-decreasing (else ``ValueError``).  A component of up to
         ``DENSE_KINETIC_STATES`` orbits costs one ``expm`` per distinct step at
@@ -541,12 +557,12 @@ class ClassicalKineticSystem:
         perms = [states] + [p for p in self.symmetries if np.array_equal(p0[p], p0)]
         orbit = components(self.size, np.tile(states, len(perms)), np.concatenate(perms))
         sizes = np.bincount(orbit)
-        k = self._triples
         # Q[o, o'] = sum of K over o x {rep(o')}, rep(o') the first state labelled o'
-        e = np.flatnonzero((np.diff(np.maximum.accumulate(orbit), prepend=-1) > 0)[k.col])
-        q = summed(k.data[e], orbit[k.row[e]], orbit[k.col[e]], (len(sizes),) * 2)
+        reps = np.flatnonzero(np.diff(np.maximum.accumulate(orbit), prepend=-1) > 0)
+        data, row, col = self._columns(reps)
+        q = summed(data, orbit[row], orbit[col], (len(sizes),) * 2)
         lumped = np.bincount(orbit, weights=p0, minlength=len(sizes))
-        return _Components(q).propagate(lumped, times)[:, orbit] / sizes[orbit]
+        return (_Components(q).propagate(lumped, times) / sizes)[:, orbit]
 
     def stationary(self) -> np.ndarray:
         """Normalised stationary distribution (null space per component)."""

@@ -57,6 +57,7 @@ from .bath import BathDomainError, CorrelationTable
 from .operators import (
     BohrSet,
     SpectralData,
+    _unique,
     bohr_frequencies,
     dag,
     frequency_index,
@@ -132,7 +133,7 @@ def _blocks(components: np.ndarray, key: np.ndarray):
     pos = pos[np.argsort(key[pos], kind="stable")]
     start = np.flatnonzero(np.diff(key[pos], prepend=-1))
     size = np.diff(start, append=len(pos))
-    for s in np.unique(size):
+    for s in _unique(size):
         idx = pos[start[size == s, np.newaxis] + np.arange(s)]
         col = c[:, idx].transpose(1, 0, 2)[..., np.newaxis]
         yield idx, col, col.swapaxes(-1, -2)

@@ -8,9 +8,13 @@ become classical single-spin-flip jump rates: Glauber-type kinetics with
 detailed balance at the reservoir temperature.
 
 Two routes are provided and agree where they overlap: a purely classical
-rate matrix over the 2^n configurations (no Hilbert-space objects, works
+jump process over the 2^n configurations (no Hilbert-space objects, works
 past the dense dimension cap) and the full quantum generator obtained by
-frequency decomposition of the sigma^x couplings.  A flip whose neighbours
+frequency decomposition of the sigma^x couplings.  The rate of flipping
+site r depends only on r and the spins (s_{r-1}, s_r, s_{r+1}), so the
+classical route holds its rate matrix as an n x 8 local flip-rate table:
+the solvers ask it for the columns they need, and the full 2^n-state
+matrix is assembled only when it is read.  A flip whose neighbours
 cancel (e_{r-1} = -e_{r+1}) is energy-neutral and has exactly zero rate;
 on rings whose length is a multiple of four this freezes the period-four
 configuration ++-- completely, while the strictly alternating pattern
@@ -28,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._sparse import summed
+from ._sparse import Triples
 from .bath import (
     BathConfigurationError,
     BathDomainError,
@@ -46,6 +51,7 @@ from .evolution import ClassicalKineticSystem, _RATE_TOL
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
+    _unique,
     bohr_frequencies,
     matrix_unit,
     spectral_decompose,
@@ -161,6 +167,11 @@ class SpinChainSpec:
             raise ValueError(f"site {r} outside 0..{self.n_sites - 1}")
 
 
+def _bits(configs: np.ndarray, n_sites: int) -> np.ndarray:
+    # bit of site q (1: spin down) in each configuration, one column per site
+    return (configs[:, np.newaxis] >> (n_sites - 1 - np.arange(n_sites))) & 1
+
+
 def spin_configurations(n_sites: int) -> np.ndarray:
     """All 2^n spin configurations as rows of +-1, in basis order.
 
@@ -172,9 +183,7 @@ def spin_configurations(n_sites: int) -> np.ndarray:
         raise ValueError(
             f"{n_sites} sites exceed the enumeration cap {MAX_CLASSICAL_SITES}"
         )
-    idx = np.arange(2**n_sites)
-    bits = (idx[:, None] >> np.arange(n_sites - 1, -1, -1)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    return (1 - 2 * _bits(np.arange(2**n_sites), n_sites)).astype(np.int8)
 
 
 def configuration_index(sigma: Sequence[int]) -> int:
@@ -316,6 +325,69 @@ def ising_system(cs: SpinChainSpec) -> tuple[np.ndarray, list]:
     return np.diag(configuration_energies(cs)), couplings
 
 
+def _neighbours(cs: SpinChainSpec) -> np.ndarray:
+    """Sites (s_{r-1}, r, s_{r+1}) around each site r, one row per site; -1
+    for a neighbour missing at an open edge."""
+    bonds = [(cs.left_bond(r), (r,), cs.right_bond(r)) for r in range(cs.n_sites)]
+    return np.array([[-1 if b is None else b[0] for b in row] for row in bonds]).reshape(-1, 3)
+
+
+def _local_patterns(bits: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Pattern ``4 b_{r-1} + 2 b_r + b_{r+1}`` of every site r (columns) from
+    the bits b of each configuration (rows; 1: spin down), ``near`` from
+    :func:`_neighbours`; a missing neighbour reads as 0."""
+    left, right = near[:, 0], near[:, 2]
+    return 4 * (bits[:, left] & (left >= 0)) + 2 * bits + (bits[:, right] & (right >= 0))
+
+
+class _GlauberChain(ClassicalKineticSystem):
+    """The jump process of a spin chain, held as its local flip-rate table.
+
+    ``table[r, pattern]`` is the rate of flipping site r when the bits of
+    (s_{r-1}, s_r, s_{r+1}) read ``pattern`` (see :func:`_local_patterns`);
+    patterns that never occur at r hold 0, and ``near`` holds the sites
+    each pattern reads (:func:`_neighbours`).  Columns of K are computed
+    from it on request, and the full triples only on first access.
+    """
+
+    def __init__(self, table: np.ndarray, near: np.ndarray, energies: np.ndarray,
+                 symmetries: tuple) -> None:
+        self.table, self.near = table, near
+        self.energies, self.symmetries = energies, symmetries
+
+    @property
+    def size(self) -> int:
+        return 2 ** len(self.table)
+
+    @cached_property
+    def _triples(self) -> Triples:
+        return Triples(*self._columns(np.arange(self.size)), (self.size, self.size))
+
+    def _columns(self, states: np.ndarray) -> tuple:
+        n = len(self.table)
+        sites = np.arange(n)
+        flips = states[:, np.newaxis] ^ (1 << (n - 1 - sites))
+        # flipping a down spin (bit 1) leads to a smaller configuration
+        down = flips < states[:, np.newaxis]
+        rates = self.table.ravel()[8 * sites + _local_patterns(down, self.near)]
+        # in row order come the flips of the down spins by ascending site,
+        # then those of the up spins by descending site; below[:, r] counts
+        # the down spins up to r
+        below = down.cumsum(axis=1)
+        at = np.arange(len(states))[:, np.newaxis], np.where(down, below - 1, n - 1 - sites + below)
+        flips[at], rates[at] = flips.copy(), rates.copy()
+        # each column's outflow adds its rates in row order, the zero rates of
+        # energy-neutral flips included, by the pairwise reduceat of a CSC column sum
+        outflow = np.add.reduceat(rates.ravel(), np.arange(0, rates.size, n))
+        # the diagonal entry goes after the flips to smaller configurations
+        diagonal = np.arange(n + 1) == below[:, -1:]
+        rows, vals = np.empty((len(states), n + 1), dtype=int), np.empty((len(states), n + 1))
+        rows[diagonal], vals[diagonal] = states, -outflow
+        rows[~diagonal], vals[~diagonal] = flips.ravel(), rates.ravel()
+        keep = np.flatnonzero(vals)
+        return vals.ravel()[keep], rows.ravel()[keep], np.repeat(states, n + 1)[keep]
+
+
 def classical_glauber_generator(
     cs: SpinChainSpec, bath: BathSpec
 ) -> ClassicalKineticSystem:
@@ -324,60 +396,55 @@ def classical_glauber_generator(
     The rate of flipping site r is the golden-rule rate of the channel at
     the released energy (emission downhill, absorption uphill, exactly
     zero for energy-neutral flips), with the site's own form factor; a
-    negative or non-finite rate raises ``BathDomainError``.  Each distinct
-    (site, released energy), computed as in :func:`energy_release`, is
-    rated once; the rates form one sparse matrix with columns summing to zero
-    (``dp/dt = K p``) at every chain length.  Energy-neutral flips have zero
+    negative or non-finite rate raises ``BathDomainError``.  The released
+    energy, computed as in :func:`energy_release`, depends only on r and
+    the spins (s_{r-1}, s_r, s_{r+1}), so the process is held as an n x 8
+    table of rates, each distinct (site, released energy) rated once.
+    ``evolve`` reads from it only the columns of K it needs; the full K
+    (``rate_matrix``, :meth:`~ClassicalKineticSystem.validate`,
+    ``stationary``) is assembled on first access, one sparse matrix with
+    columns summing to zero (``dp/dt = K p``).  Energy-neutral flips have zero
     rate, so K can split into disconnected components (9 on the 12-ring,
     the all-up one with 1,848 states); the solvers treat each on its own.
 
     Two candidate symmetries move each site r to s[r]: the reflection
     r -> n-1-r and, on periodic chains, the rotation r -> r+1.  Each is kept
-    in ``symmetries`` only if K is invariant under it, read off the flip
-    rates: flipping s[r] in the image of every configuration must have the
-    rate of flipping r in it.  That holds for uniform couplings and equal
-    form factors and fails for random bonds or per-site form factors; an
-    invariant start, such as the all-up ground configuration, then evolves
-    on the orbits (118 of them in the 12-ring's all-up component).
+    in ``symmetries`` only if K is invariant under it, read off the table:
+    flipping s[r] in the image of a configuration must have the rate of
+    flipping r in it, where the image's pattern at s[r] is the pattern at r
+    with its neighbour bits swapped by the reflection and kept by the
+    rotation.  That holds for uniform couplings and equal form factors and
+    fails for random bonds or per-site form factors; an invariant start,
+    such as the all-up ground configuration, then evolves on the orbits (118
+    of them in the 12-ring's all-up component).
     """
     _check_form_factors(cs, bath)
     n = cs.n_sites
-    size = 2**n
     spins = spin_configurations(n)
-    configs = np.arange(size)
-    # column a holds the flip of each site r, to configuration a ^ 2^(n-1-r)
-    flips = configs[:, np.newaxis] ^ (1 << (n - 1 - np.arange(n)))
-    rates = np.empty((size, n))
+    near = _neighbours(cs)
+    slots = (np.arange(8)[:, np.newaxis] >> np.arange(2, -1, -1)) & 1
+    table = np.zeros((n, 8))
     for r in range(n):
-        released = energy_release(cs, spins, r)
-        levels = np.unique(released)
+        # the configurations that set site r and its neighbours in every way
+        local = np.bitwise_or.reduce(slots * np.where(near[r] >= 0, 1 << (n - 1 - near[r]), 0), axis=1)
+        bits = _bits(local, n)
+        pattern = _local_patterns(bits, near)[:, r]
+        released = energy_release(cs, 1 - 2 * bits, r)
+        levels = _unique(released)
         rated = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
-        rates[:, r] = rated[np.searchsorted(levels, released)]
+        table[r, pattern] = rated[np.searchsorted(levels, released)]
     # the image of a configuration under the site map s has the spin of site r at s[r]
     maps = np.array([n - 1 - np.arange(n), (np.arange(n) + 1) % n][: 1 + (cs.boundary == "periodic")])
     perms = (1 << (n - 1 - maps)) @ (spins < 0).T
-    # K[perm][:, perm] == K off the diagonal exactly when rates[perm][:, s] ==
-    # rates, read here by flat index without a copy of the table, and the
-    # outflows then agree to rounding; max|K| is the largest outflow
-    flat, tol = rates.ravel(), _RATE_TOL * max(1.0, rates.sum(axis=1).max())
-    symmetries = tuple(p for p, s in zip(perms, maps)
-                       if all(np.abs(flat[n * p + s[r]] - rates[:, r]).max() <= tol for r in range(n)))
-    # each column's outflow adds its rates in row order, the zero rates of
-    # energy-neutral flips included, by the pairwise reduceat of a CSC column sum
-    order = np.argsort(flips, axis=1)
-    flips, rates = np.take_along_axis(flips, order, axis=1), np.take_along_axis(rates, order, axis=1)
-    outflow = np.add.reduceat(rates.ravel(), np.arange(0, size * n, n))
-    # the diagonal entry goes after the flips to smaller configurations, so
-    # that every column is in row order; summing drops the zero rates
-    diagonal = np.arange(n + 1) == (flips < configs[:, np.newaxis]).sum(axis=1, keepdims=True)
-    rows, vals = np.empty((size, n + 1), dtype=int), np.empty((size, n + 1))
-    rows[diagonal], vals[diagonal] = configs, -outflow
-    rows[~diagonal], vals[~diagonal] = flips.ravel(), rates.ravel()
-    k = summed(vals.ravel(), rows.ravel(), np.repeat(configs, n + 1), (size, size))
-    system = ClassicalKineticSystem(energies=configuration_energy(cs, spins), rate_matrix=k)
-    system.validate()
-    system.symmetries = symmetries
-    return system
+    # the reflection swaps the neighbour bits of each pattern, the rotation
+    # keeps them; either takes the patterns that occur at r to those that
+    # occur at s[r], so the zeros of the others meet zeros
+    patterns = np.arange(8)
+    images = ((patterns & 2) | (patterns >> 2) | ((patterns & 1) << 2), patterns)
+    tol = _RATE_TOL * max(1.0, table.max())
+    symmetries = tuple(p for p, s, image in zip(perms, maps, images)
+                       if (np.abs(table[s][:, image] - table) <= tol).all())
+    return _GlauberChain(table, near, configuration_energy(cs, spins), symmetries)
 
 
 def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:

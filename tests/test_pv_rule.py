@@ -105,10 +105,11 @@ def test_tabulated_profile_on_arrays(complex_values):
     assert type(scalar) is (complex if complex_values else float)
 
 
-def test_rates_with_shifts_leaves_quadrature_unloaded(tmp_path):
-    # no scipy module at all, after the rates with principal-value shifts, a
-    # trajectory of a generic 17-level system with shifts, and the 12-ring's
-    # classical kinetics, one after the other in one interpreter
+def run_rates_evolve_and_glauber(tmp_path, report: str) -> list:
+    """Run ``rates`` with principal-value shifts, a trajectory of a generic
+    17-level system with shifts, and the 12-ring's classical kinetics, one
+    after the other in one interpreter; one line per run, its exit code and
+    the expression ``report`` over the loaded module names ``mods``."""
     bath = {"beta": 1.0, "kernel": "quadrature", "uv_cutoff": 20.0, "lamb_shift": True}
     doc = {
         "hamiltonian": [[0.0, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 1.9]],
@@ -140,17 +141,30 @@ def test_rates_with_shifts_leaves_quadrature_unloaded(tmp_path):
         "import sys; from stoclim import cli\n"
         f"for argv in {runs!r}:\n"
         "    code = cli.main(argv)\n"
-        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "    mods = sys.modules\n"
+        f"    print(code, {report})"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.splitlines() == ["0 []"] * 3
     # a header and the seven Bohr frequencies of three generic levels
     assert (tmp_path / "r.csv").read_text().count("\n") == 8
     # a header and one row per time
     assert (tmp_path / "e.csv").read_text().count("\n") == 21
     assert (tmp_path / "g.csv").read_text().count("\n") == 101
+    return out.splitlines()
+
+
+def test_rates_with_shifts_leaves_quadrature_unloaded(tmp_path):
+    # no scipy module at all after any of the three runs
+    report = "sorted(m for m in mods if m.split('.')[0] == 'scipy')"
+    assert run_rates_evolve_and_glauber(tmp_path, report) == ["0 []"] * 3
+
+
+def test_rates_evolve_and_glauber_leave_masked_arrays_unloaded(tmp_path):
+    # a plain np.unique imports numpy.ma to rule out a masked array
+    report = "'numpy.ma' in mods"
+    assert run_rates_evolve_and_glauber(tmp_path, report) == ["0 False"] * 3
 
 
 def test_check_suites_and_generator_export_leave_scipy_unloaded(tmp_path):
