@@ -19,8 +19,8 @@ default and requires the quadrature kernel with an ultraviolet cutoff.
 
 The table is a stack over the whole frequency array: form factors, weights
 and delta shells are evaluated on all open-shell frequencies at once, and
-the shifts of one coupling pair and branch are one principal value over an
-array of poles.
+the shifts of the whole table are one principal value over an array of poles
+and a stack of numerators, both branches of every coupling pair.
 
 Every principal value takes one rule: cells graded geometrically (ratio 6,
 down to 1e-6 of the interval) towards its ends and both sides of each kink or
@@ -28,11 +28,12 @@ jump of the numerator (``rho`` nodes, ``filter_max``), the pole as an edge, and
 a 20-point Gauss-Legendre value with a 14-point check per cell.  Cells whose
 two values differ by more than their share of 1e-12 of the integral of
 |integrand| are bisected, for at most 100 rounds; an integral still unresolved
-is a :class:`BathDomainError`.  Poles share the graded cells, so the
-numerator is evaluated on them once for all poles, and only the cell a pole
-cuts in two, the pole itself and later bisections are evaluated per pole.
-Form factors and a callable mode density get whole node arrays; one that does
-not accept arrays is mapped over them.
+is a :class:`BathDomainError`.  Poles and numerators share the graded cells,
+so each profile is evaluated on them once, and only the cell a pole cuts in
+two, the pole itself and later bisections per pole; each numerator keeps its
+own tolerance and takes a cell in the round it would alone.  Form factors and
+a callable mode density get whole node arrays; one that does not accept
+arrays is mapped over them.
 
 Conventions: hbar = k_B = 1, temperature enters as beta.  The mode-density
 factor ``j(w)`` is ``4*pi*w`` by default ("paper" normalisation, linear
@@ -45,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -269,15 +269,16 @@ def correlation_table(bath: BathSpec, bohr: BohrSet, n_couplings: int = 1) -> Co
 
     Hermitian parts follow the delta-shell closed form, evaluated on the
     whole array of open-shell frequencies (``0 < w < uv_cutoff``); with
-    ``lamb_shift`` on, the anti-Hermitian parts are principal values, one
-    :func:`pv_lamb_shift` over all open-shell frequencies per unordered
-    coupling pair and branch: the shift of (j, i) is the conjugate of that of
-    (i, j).  Without form factors every pair has the same numerator, so each
-    branch takes one call.  At ``w <= 0`` both constants are exactly 0,
-    shifts included, so such frequencies add nothing to the shift
-    Hamiltonian.  A non-finite constant raises :class:`BathDomainError`
-    naming the lowest such frequency and its coupling pair (emission branch
-    first).
+    ``lamb_shift`` on, the anti-Hermitian parts are principal values from one
+    pass over the open-shell frequencies and the numerators of both branches
+    and each unordered coupling pair (one pair without form factors); the
+    shift of (j, i) is the conjugate of (i, j).  Each entry is that of
+    :func:`pv_lamb_shift` bit for bit, unless real and complex form factors
+    mix: the real pairs then take complex arithmetic, a rounding apart.  At
+    ``w <= 0`` both constants are exactly 0, shifts included, so such
+    frequencies add nothing to the shift Hamiltonian.  A non-finite constant
+    raises :class:`BathDomainError` naming the lowest such frequency and its
+    coupling pair (emission branch first).
     """
     nf = bath.n_form_factors()
     if nf is not None and nf != n_couplings:
@@ -291,16 +292,15 @@ def correlation_table(bath: BathSpec, bohr: BohrSet, n_couplings: int = 1) -> Co
     minus[is_open] = shell * _emission_weight(bath, w)[:, None, None]
     plus[is_open] = shell * filtered_density(bath, w)[:, None, None]
     if bath.lamb_shift and w.size:
-        for branch, c in (("minus", minus), ("plus", plus)):
-            if bath.form_factors is None:
-                # every coupling pair integrates the same real numerator
-                c[is_open] += 1j * pv_lamb_shift(bath, w, branch=branch)[:, None, None]
-                continue
-            for i, j in combinations_with_replacement(range(n_couplings), 2):
-                s = pv_lamb_shift(bath, w, (i, j), branch=branch)
-                c[is_open, i, j] += 1j * s
-                if i != j:
-                    c[is_open, j, i] += 1j * np.conj(s)
+        # flat couplings share one numerator; the (j, i) shift is the conjugate of (i, j)
+        k = n_couplings if bath.form_factors else 1
+        i, j = np.triu_indices(k)
+        s = _shift_pass(bath, w, list(zip(i, j)), ("minus", "plus")).reshape(2, len(i), -1)
+        shift = np.zeros((2, k, k, len(w)), dtype=s.dtype)
+        shift[:, j, i] = s.conj()
+        shift[:, i, j] = np.where((i == j)[:, None], s.real, s)
+        minus[is_open] += 1j * np.moveaxis(shift[0], -1, 0)
+        plus[is_open] += 1j * np.moveaxis(shift[1], -1, 0)
     bad = ~np.isfinite(np.stack((minus, plus), axis=1))
     if bad.any():
         k, branch, i, j = np.argwhere(bad)[0]
@@ -367,9 +367,12 @@ def _rule(a: float, b: float, nodes: tuple) -> tuple:
     return edges, 0.5 + 0.5 * np.append(x_hi, x_lo), weights
 
 
-def _owner_sum(owner: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    out = np.bincount(owner, values.real, n)
-    return out + 1j * np.bincount(owner, values.imag, n) if np.iscomplexobj(values) else out
+def _owner_sum(owner: np.ndarray, values: np.ndarray, n: int, take: np.ndarray) -> np.ndarray:
+    m = len(values)
+    bins, values = (owner + n * np.arange(m)[:, None])[take], values[take]
+    out = np.bincount(bins, values.real, m * n)
+    out = out + 1j * np.bincount(bins, values.imag, m * n) if np.iscomplexobj(values) else out
+    return out.reshape(m, n)
 
 
 def _unresolved(pole: float, inside: bool, lo: np.ndarray, hi: np.ndarray) -> str:
@@ -378,31 +381,37 @@ def _unresolved(pole: float, inside: bool, lo: np.ndarray, hi: np.ndarray) -> st
     return f"integrand divergent or not finite on ({lo.min()}, {hi.max()})"
 
 
-def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, rule: tuple):
-    """The rule on ``f(x)/(x - pole)`` for each of ``poles`` at once.  Each
-    cell carries its pole's index (``owner``); a pole that fails is dropped,
-    and the first failed one raises :class:`_PoleError` once the rest are done."""
-    edges, t, weights = rule
-    n = len(poles)
-    inside = (a < poles) & (poles < b)
+def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, nodes: tuple):
+    """The rule on ``f(x)/(x - pole)`` for the 1-d ``poles`` (chunks of about
+    2**15 rule nodes) and the m numerators ``f`` stacks (``f(x)`` is (m,
+    *x.shape)): (m, poles).  A cell is bisected while any numerator leaves it
+    unresolved; a numerator takes it in the round it would alone, by a product
+    over its own cells, so each row is bit for bit its own pass.  A failed
+    (numerator, pole) is dropped; the first raises :class:`_PoleError` at the end."""
+    edges, t, weights = _rule(a, b, tuple(sorted({x for x in nodes if a < x < b})))
+    chunk = max(1, _CHUNK_NODES // (len(edges) * len(t)))
+    if len(poles) > chunk:
+        parts = [poles[k : k + chunk] for k in range(0, len(poles), chunk)]
+        return np.concatenate([_principal_values(f, a, b, part, nodes) for part in parts], axis=1)
+    n, inside = len(poles), (a < poles) & (poles < b)
 
-    def sums(lo, hi, owner, y=None):
+    def sums(lo, hi, y_pole, pole, y=None):
         # (value, check) per cell; distances to the pole are offsets from a
         # cell edge: the difference of a rounded node would divide its
         # rounding by a small distance
         step = (hi - lo)[..., None] * t
-        y = _elementwise(f, lo[..., None] + step) if y is None else y
-        d = (lo - poles[owner])[..., None] + step
-        quotient = (y - f_pole[owner][..., None]) / d
+        quotient = (f(lo[..., None] + step) if y is None else y) - y_pole[..., None]
+        quotient /= (lo - pole)[..., None] + step
         return np.moveaxis((hi - lo)[..., None] * (quotient @ weights), -1, 0)
 
     # every pole shares the rule's cells, so f is evaluated on them once; an
     # inner pole that is not an edge cuts its cell into two cells of its own
     lo, hi = edges[:-1], edges[1:]
-    step = (hi - lo)[:, None] * t
-    y = _elementwise(f, np.append(lo[:, None] + step, poles[inside]))
-    f_pole = np.zeros(n, dtype=y.dtype)
-    y, f_pole[inside] = np.split(y, [step.size])
+    x = lo[:, None] + (hi - lo)[:, None] * t
+    y = f(np.append(x, poles[inside]))
+    m = len(y)
+    f_pole = np.zeros((m, n), dtype=y.dtype)
+    y, f_pole[:, inside] = np.split(y, [x.size], axis=1)
     k = np.searchsorted(edges, poles)
     cut = np.flatnonzero(inside & (edges[np.minimum(k, len(edges) - 1)] != poles))
     keep = np.ones((n, len(lo)), dtype=bool)
@@ -410,36 +419,47 @@ def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, rule: 
     owner, cell = np.nonzero(keep)
     own, own_lo, own_hi = np.tile(cut, 2), lo[k[cut] - 1], hi[k[cut] - 1]
     own_lo, own_hi = np.append(own_lo, poles[cut]), np.append(poles[cut], own_hi)
-    shared = sums(lo, hi, np.arange(n)[:, None], y.reshape(step.shape))[:, keep]
-    value, check = np.append(shared, sums(own_lo, own_hi, own), axis=1)
+    shared = sums(lo, hi, f_pole[:, :, None], poles[:, None], y.reshape(m, 1, *x.shape))
+    shared = shared.reshape(2, m, -1).compress(keep.ravel(), axis=2)
+    value, check = np.append(shared, sums(own_lo, own_hi, f_pole[:, own], poles[own]), axis=2)
     lo, hi, owner = np.append(lo[cell], own_lo), np.append(hi[cell], own_hi), np.append(owner, own)
-    total = np.zeros(n, dtype=value.dtype)
-    total[inside] = f_pole[inside] * np.log((b - poles[inside]) / (poles[inside] - a))
-    tol = _owner_sum(owner, np.abs(value), n) + np.abs(total)
+    active = np.ones(value.shape, dtype=bool)
+    total = np.zeros(f_pole.shape, dtype=value.dtype)
+    total[:, inside] = f_pole[:, inside] * np.log((b - poles[inside]) / (poles[inside] - a))
+    tol = _owner_sum(owner, np.abs(value), n, active) + np.abs(total)
     tol *= _RTOL / np.bincount(owner, minlength=n)
     failed = {}
     for rounds in range(_MAX_ROUNDS):
         if rounds:
-            value, check = sums(lo, hi, owner)
-        bad = ~(np.abs(value - check) <= tol[owner])  # a NaN counts as unresolved
-        total += _owner_sum(owner[~bad], value[~bad], n)
-        lo, hi, owner = lo[bad], hi[bad], owner[bad]
-        # a pole with too many unresolved cells, or one within 1e4 ulps of its
-        # ends, is not bisected further
-        narrow = hi - lo < 2e-12 * np.maximum(-lo, hi)
-        stop = (np.bincount(owner, minlength=n) > _MAX_CELLS) | (np.bincount(owner, narrow, n) > 0)
-        for p in np.flatnonzero(stop):
-            failed[p] = _unresolved(poles[p], inside[p], lo[owner == p], hi[owner == p])
-        lo, hi, owner = lo[~stop[owner]], hi[~stop[owner]], owner[~stop[owner]]
-        if not lo.size:
+            y = f(lo[:, None] + (hi - lo)[:, None] * t)
+            value, check = np.zeros((2, *active.shape), dtype=total.dtype)
+            for r, on in enumerate(active):
+                at = owner[on]
+                value[r, on], check[r, on] = sums(lo[on], hi[on], f_pole[r, at], poles[at], y[r, on])
+        bad = ~(np.abs(value - check) <= tol[:, owner])  # a NaN counts as unresolved
+        total += _owner_sum(owner, value, n, active & ~bad)
+        active &= bad
+        if not active.any():
             break
+        # a pole with too many unresolved cells, or one within 1e4 ulps of its
+        # ends, is not bisected further for that numerator
+        narrow = hi - lo < 2e-12 * np.maximum(-lo, hi)
+        stop = _owner_sum(owner, active, n, active) > _MAX_CELLS
+        stop |= _owner_sum(owner, active & narrow, n, active) > 0
+        for r, p in zip(*np.nonzero(stop)):
+            at = active[r] & (owner == p)
+            failed[r, p] = _unresolved(poles[p], inside[p], lo[at], hi[at])
+        active &= ~stop[:, owner]
+        live = active.any(axis=0)
+        lo, hi, owner, active = lo[live], hi[live], owner[live], active[:, live]
         mid = 0.5 * (lo + hi)
-        lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.tile(owner, 2)
-    for p in _unique(owner):
-        failed[p] = _unresolved(poles[p], inside[p], lo[owner == p], hi[owner == p])
+        lo, hi, owner, active = np.append(lo, mid), np.append(mid, hi), np.tile(owner, 2), np.tile(active, 2)
+    for r, p in zip(*np.nonzero(_owner_sum(owner, active, n, active))):
+        at = active[r] & (owner == p)
+        failed[r, p] = _unresolved(poles[p], inside[p], lo[at], hi[at])
     if failed:
-        p = min(failed)
-        raise _PoleError(failed[p], poles[p])
+        r, p = min(failed)
+        raise _PoleError(failed[r, p], poles[p])
     return total
 
 
@@ -459,15 +479,43 @@ def principal_value_integral(f: Callable, a: float, b: float, pole, nodes=()):
     nodes.  The error of a failed integral is that of the first pole that
     fails.
     """
-    rule = _rule(a, b, tuple(sorted({x for x in nodes if a < x < b})))
     poles = np.asarray(pole, dtype=float)
-    flat = poles.ravel()
-    per_chunk = max(1, _CHUNK_NODES // (len(rule[0]) * len(rule[1])))
-    chunks = (flat[k : k + per_chunk] for k in range(0, flat.size, per_chunk))
-    values = np.concatenate([np.zeros(0), *(_principal_values(f, a, b, c, rule) for c in chunks)])
-    if poles.ndim:
-        return values.reshape(poles.shape)
-    return complex(values[0]) if np.iscomplexobj(values) else float(values[0])
+    values = _principal_values(lambda x: _elementwise(f, x)[np.newaxis], a, b, poles.ravel(), nodes)
+    return values[0].reshape(poles.shape) if poles.ndim else values[0, 0].item()
+
+
+def _shift_pass(bath: BathSpec, omega, pairs: list, branches: tuple) -> np.ndarray:
+    """The shift constants of :func:`pv_lamb_shift` of ``branches`` x ``pairs``: one
+    principal-value pass over the stacked numerators, each form factor evaluated once."""
+    if bath.kernel != "quadrature":
+        raise BathConfigurationError("level shifts require the quadrature kernel")
+    if bath.uv_cutoff is None:
+        raise BathConfigurationError("level shifts require a finite uv_cutoff")
+    omegas = np.asarray(omega, dtype=float)
+    above = omegas.ravel() >= bath.uv_cutoff
+    if above.any():
+        w = omegas.ravel()[np.argmax(above)]
+        raise BathDomainError(f"frequency {w} is not below the uv cutoff {bath.uv_cutoff}")
+    couplings = {i for pair in pairs for i in pair}
+
+    def numerators(rho: np.ndarray) -> np.ndarray:
+        # j W with W = N + 1 (emission) or N (absorption), as _emission_weight gives it
+        g = {i: bath.form_factor(i, rho) for i in couplings}
+        dos, density = bath.dos_factor(rho), filtered_density(bath, rho)
+        emitted = density + float(bath.spontaneous_emission)
+        jw = [dos * (emitted if branch == "minus" else density) for branch in branches]
+        return np.array([np.conj(g[i]) * g[j] * x for x in jw for i, j in pairs])
+
+    # tabulated profiles (``config.TabulatedProfile``) are piecewise linear
+    # between their ``rho`` nodes
+    profiles = (bath.mode_density, *(bath.form_factors or ()))
+    nodes = [float(x) for f in profiles for x in getattr(f, "rho", ())]
+    nodes += [] if bath.filter_max is None else [float(bath.filter_max)]
+    try:
+        values = _principal_values(numerators, 0.0, bath.uv_cutoff, omegas.ravel(), nodes)
+    except _PoleError as exc:
+        raise BathDomainError(f"shift integral at frequency {exc.pole}: {exc}") from None
+    return -values.reshape(-1, *omegas.shape)
 
 
 def pv_lamb_shift(
@@ -482,43 +530,16 @@ def pv_lamb_shift(
     the product-rule identity of the generator module.
 
     Diagonal pairs give a plain float, cross pairs of complex form factors a
-    complex constant: one :func:`principal_value_integral` whose nodes are the
-    ``rho`` nodes of tabulated profiles and ``filter_max``.  An array
+    complex constant: one principal value by the rule of
+    :func:`principal_value_integral`, with the ``rho`` nodes of tabulated
+    profiles and ``filter_max`` as nodes.  An array
     ``omega`` is one such integral over an array of poles and gives an
     array.  Frequencies at or above the cutoff are a domain error, and so is
     a divergent integral: an infrared divergence, or a numerator that jumps
     at ``omega``.  The error names the first frequency concerned.
     """
-    if bath.kernel != "quadrature":
-        raise BathConfigurationError("level shifts require the quadrature kernel")
-    if bath.uv_cutoff is None:
-        raise BathConfigurationError("level shifts require a finite uv_cutoff")
-    omegas = np.asarray(omega, dtype=float)
-    above = omegas.ravel() >= bath.uv_cutoff
-    if above.any():
-        w = omegas.ravel()[np.argmax(above)]
-        raise BathDomainError(f"frequency {w} is not below the uv cutoff {bath.uv_cutoff}")
     if branch not in ("minus", "plus"):
         raise ValueError(f"unknown branch {branch!r}")
-    i, j = pair
-    weight = _emission_weight if branch == "minus" else filtered_density
-
-    def numerator(rho: np.ndarray) -> np.ndarray:
-        jw = bath.dos_factor(rho) * weight(bath, rho)
-        if bath.form_factors is None:
-            return jw
-        return np.conj(bath.form_factor(i, rho)) * bath.form_factor(j, rho) * jw
-
-    # tabulated profiles (``config.TabulatedProfile``) are piecewise linear
-    # between their ``rho`` nodes
-    profiles = (bath.mode_density, *(bath.form_factors or ()))
-    nodes = [float(x) for f in profiles for x in getattr(f, "rho", ())]
-    nodes += [] if bath.filter_max is None else [float(bath.filter_max)]
-    try:
-        val = principal_value_integral(numerator, 0.0, bath.uv_cutoff, omegas, nodes=nodes)
-    except _PoleError as exc:
-        raise BathDomainError(f"shift integral at frequency {exc.pole}: {exc}") from None
-    real = i == j or bath.form_factors is None
-    if omegas.ndim:
-        return -val.real if real else -val
-    return -float(val.real) if real else -complex(val)
+    val = _shift_pass(bath, omega, [tuple(pair)], (branch,))[0]
+    val = val.real if pair[0] == pair[1] else val
+    return val if np.ndim(omega) else val.item()

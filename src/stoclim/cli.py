@@ -78,8 +78,9 @@ def _write_text(args, text: str) -> None:
 
 
 def _write_csv(args, header: list, table) -> None:
-    """CSV with one header line and every cell printed by :func:`_fmt`."""
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in table]
+    """CSV with one header line and every cell printed as by :func:`_fmt`."""
+    rows = np.asarray(table, dtype=float).tolist()
+    lines = [",".join(header)] + [",".join([f"{x:.17g}" for x in row]) for row in rows]
     _write_text(args, "\n".join(lines) + "\n")
 
 

@@ -17,20 +17,20 @@ and pointer jumping, which refine its Bohr sectors (Baumgartner &
 Narnhofer, J. Phys. A 41, 395303, 2008).  Trajectories step from sample to
 sample on the components the initial state touches, with a batched dense
 ``expm(M dt)`` per block size up to :data:`DENSE_KINETIC_STATES` states;
-null spaces come from a batched SVD of the blocks.  The dense exponential
-is this module's own numpy kernel :func:`expm`, scaling and squaring on
-Padé approximants with degree and squarings chosen from the 1-norm alone
-(Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), so every dense BLAS
-and LAPACK call runs in numpy's library; it keeps unit column sums for
-blocks whose columns sum to zero, so probability does not drift.  A
-classical system reads its rate matrix by columns, from its triples or, for
-a Glauber chain, computed from its local flip-rate table.  It first lumps
-onto the orbits of the declared symmetries of its rate matrix that fix the
-start (strong lumpability; Kemeny & Snell, *Finite Markov Chains*, 1960,
-section 6.3), summing one column per orbit over the orbits; only those
-columns are read, so the all-up start of a uniform 12-ring steps on 118
-orbits instead of a 1,848-state component, and the chain's full rate matrix
-is never assembled.
+null spaces from a batched SVD of the blocks, and |a| for a 1 x 1 block
+[a].  The dense exponential is this module's own numpy kernel :func:`expm`,
+scaling and squaring on Padé approximants with degree and squarings chosen
+from the 1-norm alone (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005),
+so every dense BLAS and LAPACK call runs in numpy's library; it keeps unit
+column sums for blocks whose columns sum to zero, so probability does not
+drift.  A classical system reads its rate matrix by columns, from its
+triples or, for a Glauber chain, computed from its local flip-rate table.
+It first lumps onto the orbits of the declared symmetries of its rate
+matrix that fix the start (strong lumpability; Kemeny & Snell, *Finite
+Markov Chains*, 1960, section 6.3), summing one column per orbit over the
+orbits; only those columns are read, so the all-up start of a uniform
+12-ring steps on 118 orbits instead of a 1,848-state component, and the
+chain's full rate matrix is never assembled.
 
 scipy only renders the public views (``Generator.superoperator``,
 ``ClassicalKineticSystem.rate_matrix``, ``Generator.dense_adjoint``) and
@@ -320,9 +320,11 @@ class _Components:
     def null_space(self, rcond: float) -> list:
         """Orthonormal null vectors, each on one component.  Singular values
         up to ``rcond`` times the largest of the whole matrix count as zero,
-        as in a dense solve."""
-        blocks = self._blocks(np.arange(len(self.sizes)), np.inf)
-        svds = [(idx, *np.linalg.svd(block)[1:]) for idx, block in blocks]
+        as in a dense solve; a 1 x 1 block [a] has |a| and right vector 1, no SVD."""
+        svds = [
+            (i, np.abs(b[..., 0]), np.ones_like(b)) if b.shape[-1] == 1 else (i, *np.linalg.svd(b)[1:])
+            for i, b in self._blocks(np.arange(len(self.sizes)), np.inf)
+        ]
         tol = rcond * max(sv.max() for _, sv, _ in svds)
         out = []
         for idx, sv, vh in svds:
@@ -348,7 +350,7 @@ def evolve(gen: Generator, rho0: np.ndarray, times: Sequence[float]) -> Trajecto
     rho0 = validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     v, d = gen.spec.basis, gen.dim
-    vecs = _Components(gen._triples).propagate(vectorize(dag(v) @ rho0 @ v), times)
+    vecs = gen._split.propagate(vectorize(dag(v) @ rho0 @ v), times)
     # rows are column-stacked: row k holds sample k transposed in C order
     samples = vecs.reshape(-1, d, d).swapaxes(1, 2)
     _check_trace(samples, times)
@@ -384,9 +386,8 @@ def stationary_state(gen: Generator) -> StationaryResult:
     and beta = inf give nullity 4, including |0><2| and |2><0|, for which
     ||[H, X]|| = 2.5.
     """
-    blocks = _Components(gen._triples)
     # numerically empty null space: relax once before giving up
-    ns = blocks.null_space(1e-9) or blocks.null_space(1e-7)
+    ns = gen._split.null_space(1e-9) or gen._split.null_space(1e-7)
     if not ns:
         raise RuntimeError("no stationary state found (empty numerical null space)")
     v = gen.spec.basis

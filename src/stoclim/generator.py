@@ -285,6 +285,12 @@ class Generator:
         return summed(data, r, c, (d * d, d * d))
 
     @cached_property
+    def _split(self):
+        """The triples' connected components, shared by evolve and stationary_state."""
+        from .evolution import _Components
+        return _Components(self._triples)
+
+    @cached_property
     def _eigen_drift(self) -> np.ndarray:
         """``G = i shift + (1/2) sum_w (k_minus + k_plus)`` (eigenbasis)."""
         k_minus, k_plus = _damping_sums(

@@ -197,24 +197,24 @@ class BohrSet:
         return k if k >= 0 else None
 
 
-def _cluster_starts(xs: np.ndarray, tol: float) -> list[int]:
+def _cluster_starts(xs: np.ndarray, tol: float) -> np.ndarray:
     """Positions in sorted ``xs`` where a new frequency cluster begins.
 
     A value joins the current cluster while it lies within ``tol`` of the
     cluster's first value.  A gap wider than ``tol`` always starts a new
-    cluster; only a run of close gaps spanning more than ``tol`` needs the
-    element-wise scan.
+    cluster and a run of close gaps spanning at most ``tol`` is one, both
+    found by array operations; only a longer run is scanned element-wise.
     """
-    cuts = np.flatnonzero(np.diff(xs) > tol) + 1
-    starts = []
-    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(xs)]):
-        starts.append(int(a))
-        if xs[b - 1] - xs[a] <= tol:
-            continue
-        for i in range(a + 1, b):
-            if xs[i] - xs[starts[-1]] > tol:
-                starts.append(i)
-    return starts
+    heads = np.flatnonzero(np.diff(xs, prepend=-np.inf) > tol)
+    ends = np.append(heads[1:], len(xs))
+    wide = xs[ends - 1] - xs[heads] > tol
+    starts = [heads]
+    for head, end in zip(heads[wide].tolist(), ends[wide].tolist()):
+        for i in range(head + 1, end):
+            if xs[i] - xs[head] > tol:
+                head = i
+                starts.append([i])
+    return np.sort(np.concatenate(starts))
 
 
 def bohr_frequencies(spec: SpectralData) -> BohrSet:
@@ -227,17 +227,27 @@ def bohr_frequencies(spec: SpectralData) -> BohrSet:
     xs = diffs[order]
     starts = _cluster_starts(xs, tol)
     freqs = xs[starts]
-    pairs = []
-    for w, lo, hi in zip(freqs, starts, starts[1:] + [len(xs)]):
-        # the pairs within tol of w are a contiguous run of the sorted
-        # differences that contains w's own cluster xs[lo:hi]
-        while lo > 0 and abs(xs[lo - 1] - w) <= tol:
-            lo -= 1
-        while hi < len(xs) and abs(xs[hi] - w) <= tol:
-            hi += 1
-        src, tgt = np.divmod(np.sort(order[lo:hi]), n)
-        pairs.append(tuple(zip(tgt.tolist(), src.tolist())))
-    return BohrSet(frequencies=freqs, pairs=tuple(pairs), match_tol=tol)
+    # the pairs within tol of w are a run of the sorted differences around w's
+    # cluster; searchsorted finds its ends up to the rounding of w -+ tol, and
+    # unit steps make them exact, |x - w| being monotone on each side of w
+    def near(i):
+        return np.abs(xs[np.clip(i, 0, len(xs) - 1)] - freqs) <= tol
+
+    lo = np.minimum(np.searchsorted(xs, freqs - tol), starts)
+    hi = np.maximum(np.searchsorted(xs, freqs + tol, "right"), np.append(starts[1:], len(xs)))
+    while True:
+        down = np.where((lo > 0) & near(lo - 1), -1, np.where(near(lo), 0, 1))
+        up = np.where((hi < len(xs)) & near(hi), 1, np.where(near(hi - 1), 0, -1))
+        if not (down.any() or up.any()):
+            break
+        lo, hi = lo + down, hi + up
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(freqs)), counts)
+    pos = order[np.arange(len(owner)) + np.repeat(hi - np.cumsum(counts), counts)]
+    src, tgt = np.divmod(pos[np.lexsort((pos, owner))], n)
+    flat, bounds = list(zip(tgt.tolist(), src.tolist())), np.cumsum(counts).tolist()
+    pairs = tuple(tuple(flat[a:b]) for a, b in zip([0, *bounds], bounds))
+    return BohrSet(frequencies=freqs, pairs=pairs, match_tol=tol)
 
 
 def _gaps(spec: SpectralData) -> np.ndarray:

@@ -383,3 +383,24 @@ def test_csv_headers_and_cell_format(tmp_path, capsys):
     for argv, header in cases:
         assert cli.main(argv) == 0
         assert csv_header_with_17_digit_cells(capsys.readouterr().out) == header
+
+
+def test_csv_cells_are_those_of_the_per_cell_formatter(capsys):
+    # rows become Python floats once and are formatted in place; every byte
+    # must be what _fmt gives cell by cell, numpy scalars and tuples included
+    from argparse import Namespace
+
+    from stoclim import cli
+
+    special = [-0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1.7976931348623157e308,
+               -0.1, 1 / 3, 123456789.0, np.inf, -np.inf, 0.0]
+    rng = np.random.default_rng(7)
+    column_table = np.column_stack([special, -np.asarray(special), rng.standard_normal(len(special))])
+    mags, energies = rng.standard_normal(4), rng.standard_normal(4) * 1e-300
+    dist = rng.dirichlet(np.ones(4), size=3)
+    tuple_table = [(t, mags @ p, energies @ p) for t, p in zip(np.linspace(0.0, 1.0, 3), dist)]
+    tuple_table.append((np.float64(-0.0), np.float64(5e-324), 3))
+    for table in (column_table, tuple_table, []):
+        cli._write_csv(Namespace(out=None), ["a", "b", "c"], table)
+        want = "\n".join(["a,b,c"] + [",".join(map(cli._fmt, row)) for row in table]) + "\n"
+        assert capsys.readouterr().out == want

@@ -152,3 +152,92 @@ def test_large_components_step_with_expm_multiply(monkeypatch):
     assert sizes == [1848, 1848]
     assert np.abs(dist.sum(axis=1) - 1.0).max() <= 1e-12
     assert dist.min() >= -1e-15
+
+
+def svd_null_space(comps, rcond):
+    """The null space with an SVD of every block, 1 x 1 blocks included."""
+    blocks = comps._blocks(np.arange(len(comps.sizes)), np.inf)
+    svds = [(idx, *np.linalg.svd(block)[1:]) for idx, block in blocks]
+    tol = rcond * max(sv.max() for _, sv, _ in svds)
+    out = []
+    for idx, sv, vh in svds:
+        for comp, row in zip(*np.nonzero(sv <= tol)):
+            out.append(np.zeros(len(comps.label), dtype=vh.dtype))
+            out[-1][idx[comp]] = vh[comp, row].conj()
+    return out
+
+
+def random_square(rng, s, dtype):
+    a = rng.standard_normal((s, s))
+    return a + 1j * rng.standard_normal((s, s)) if dtype == complex else a
+
+
+def block_diagonal(rng, sizes, dtype, tol):
+    """A permuted block-diagonal matrix: a 1 x 1 block 1024 (the largest
+    singular value), dense blocks of the given sizes, every other one of rank
+    one less, and 1 x 1 blocks 0, +-tol, +-tol * (1 + 2**-52) and, complex,
+    +-i tol and 0.3 + 0.4i."""
+    singles = [0.0, tol, -tol, tol * (1 + 2**-52), -tol * (1 + 2**-52)]
+    if dtype == complex:
+        singles += [1j * tol, -1j * tol, 0.3 + 0.4j]
+    blocks = [np.array([[1024.0]])] + [np.array([[x]]) for x in singles]
+    for k, s in enumerate(sizes):
+        a, b = random_square(rng, s, dtype), random_square(rng, s, dtype)
+        if k % 2:
+            a[:, -1] = 0.0  # rank s - 1, still dense
+            a = a @ b
+        blocks.append(a / (10 * s))
+    n = sum(len(b) for b in blocks)
+    perm, m, start = rng.permutation(n), np.zeros((n, n), dtype=dtype), 0
+    for b in blocks:
+        idx = perm[start : start + len(b)]
+        m[np.ix_(idx, idx)] = b
+        start += len(b)
+    return m
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("seed", range(6))
+def test_null_space_matches_an_svd_of_every_block(seed, dtype):
+    # 1 x 1 blocks take |a| without an SVD; nullities and spans must be those
+    # of an SVD of every block, also for entries exactly at the threshold
+    rng = np.random.default_rng(seed)
+    rcond = 2.0**-30
+    sizes = rng.choice([1, 2, 3, 5], size=6).tolist()
+    comps = _Components(as_triples(block_diagonal(rng, sizes, dtype, rcond * 1024.0), dtype))
+    assert 1 in comps.sizes and comps.sizes.max() > 1
+    for r in (rcond, 1e-9, 1e-7):
+        got, want = comps.null_space(r), svd_null_space(comps, r)
+        assert len(got) == len(want) > 0
+        assert np.abs(span_projector(got) - span_projector(want)).max() <= 1e-12
+    # 0 and the entries exactly at +-tol are null, one ulp above is not; every
+    # other dense block has one null vector
+    at_tol = 5 if dtype == complex else 3
+    assert len(comps.null_space(rcond)) == at_tol + len(sizes) // 2
+
+
+def test_untouched_coherences_keep_their_basis():
+    # the nullity-4 example of stationary_state: the 1 x 1 blocks give the
+    # same operator basis as an SVD of every block
+    spec = spectral_decompose(np.diag([0.0, 1.0, 2.5]).astype(complex))
+    bohr = bohr_frequencies(spec)
+    coupling = np.zeros((3, 3), dtype=complex)
+    coupling[0, 1] = coupling[1, 0] = 1.0
+    gen = build_generator(spec, [coupling], correlation_table(BathSpec(beta=math.inf), bohr, 1), bohr)
+    v = spec.basis
+    want = [v @ unvectorize(x, 3) @ dag(v) for x in svd_null_space(_Components(gen._triples), 1e-9)]
+    got = stationary_state(gen).basis
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-15
+
+
+def test_evolve_and_stationary_state_share_one_component_split(monkeypatch):
+    calls = []
+    real = evolution.components
+    monkeypatch.setattr(evolution, "components", lambda *args: calls.append(args[0]) or real(*args))
+    gen = rotated_generic()
+    rho0 = random_density(np.random.default_rng(3), gen.dim)
+    evolve(gen, rho0, np.linspace(0.0, 1.0, 5))
+    assert stationary_state(gen).ergodic
+    assert calls == [gen.dim**2]

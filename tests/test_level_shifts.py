@@ -1,5 +1,7 @@
 """Principal-value level shifts: pole subtraction, break points, pair symmetry."""
 
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -122,7 +124,8 @@ def test_pole_on_tabulated_node():
 
 def test_shift_blocks_filled_by_conjugation(monkeypatch):
     # two complex form factors: the (j, i) shift is the conjugate of (i, j),
-    # so each unordered pair is integrated once, over all frequencies at once
+    # so each unordered pair is integrated once, and the three pairs of both
+    # branches over all frequencies are one principal-value pass
     form_factors = [lambda r: 1.0 + 0.2j * r, lambda r: 0.5 * np.exp(-0.1j * r)]
     bath = BathSpec(
         beta=1.0,
@@ -133,44 +136,49 @@ def test_shift_blocks_filled_by_conjugation(monkeypatch):
     )
     spec = spectral_decompose(np.diag([0.0, 0.7, 1.9]))
     bohr = bohr_frequencies(spec)
-    calls = []
-    real = stoclim.bath.pv_lamb_shift
+    rows = []
+    real = stoclim.bath._shift_pass
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        rows.append(len(out))
+        return out
 
-    monkeypatch.setattr(stoclim.bath, "pv_lamb_shift", counted)
+    monkeypatch.setattr(stoclim.bath, "_shift_pass", counted)
     table = correlation_table(bath, bohr, n_couplings=2)
+    assert rows == [2 * 3]
+    monkeypatch.undo()
     open_shells = [w for w in bohr.frequencies if 0 < w < 20.0]
-    assert len(calls) == 2 * 3
     for w in open_shells:
         for shift, branch in ((table.shift_minus(w), "minus"), (table.shift_plus(w), "plus")):
             assert np.array_equal(shift, shift.conj().T)
             for i in range(2):
                 for j in range(2):
-                    want = real(bath, w, (i, j), branch=branch)
+                    want = pv_lamb_shift(bath, w, (i, j), branch=branch)
                     assert shift[i, j] == pytest.approx(want, rel=1e-13, abs=1e-12)
 
 
-def test_flat_form_factors_take_one_shift_per_branch(monkeypatch):
+def test_flat_form_factors_take_one_pass_per_table(monkeypatch):
     # without form factors every coupling pair has the numerator j(rho) W(rho),
-    # so three couplings take 2 calls, not 3 pairs x 2 branches
+    # so three couplings take one pass over the two branches' numerators,
+    # not 3 pairs x 2 branches
     bath = BathSpec(beta=1.0, kernel="quadrature", uv_cutoff=20.0, lamb_shift=True)
     bohr = bohr_frequencies(spectral_decompose(np.diag([0.0, 0.7, 1.9, 3.4])))
-    calls = []
-    real = stoclim.bath.pv_lamb_shift
+    rows = []
+    real = stoclim.bath._shift_pass
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["branch"])
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        rows.append(len(out))
+        return out
 
-    monkeypatch.setattr(stoclim.bath, "pv_lamb_shift", counted)
+    monkeypatch.setattr(stoclim.bath, "_shift_pass", counted)
     table = correlation_table(bath, bohr, n_couplings=3)
-    assert calls == ["minus", "plus"]
+    assert rows == [2]
+    monkeypatch.undo()
     for w in (w for w in bohr.frequencies if 0 < w < 20.0):
         for shift, branch in ((table.shift_minus(w), "minus"), (table.shift_plus(w), "plus")):
-            want = real(bath, w, (0, 1), branch=branch)
+            want = pv_lamb_shift(bath, w, (0, 1), branch=branch)
             assert np.array_equal(shift, np.full((3, 3), shift[0, 0]))
             assert shift[0, 0] == pytest.approx(want, rel=1e-13, abs=1e-12)
 
@@ -217,3 +225,93 @@ def test_no_shift_at_non_positive_frequencies():
     )
     assert not np.any(build_generator(spec, couplings, only_low, bohr).shift)
     assert np.any(build_generator(spec, couplings, table, bohr).shift)
+
+
+def per_pair_table(bath, bohr, n_couplings):
+    """The reference table: the closed-form damping part, plus one
+    pv_lamb_shift call per unordered coupling pair and branch."""
+    table = correlation_table(dataclasses.replace(bath, lamb_shift=False), bohr, n_couplings)
+    is_open = (bohr.frequencies > 0) & (bohr.frequencies < bath.uv_cutoff)
+    w = bohr.frequencies[is_open]
+    for branch, c in (("minus", table.minus), ("plus", table.plus)):
+        for i, j in itertools.combinations_with_replacement(range(n_couplings), 2):
+            s = pv_lamb_shift(bath, w, (i, j), branch=branch)
+            c[is_open, i, j] += 1j * s
+            if i != j:
+                c[is_open, j, i] += 1j * np.conj(s)
+    return table
+
+
+def counted_density(calls):
+    def density(r):
+        calls.append(np.size(r))
+        return 0.3 / (1.0 + r)
+
+    return density
+
+
+COMPLEX_PROFILES = [
+    lambda r: 1.0 + 0.2j * r,
+    lambda r: 0.5 * np.exp(-0.1j * r),
+    TabulatedProfile(np.linspace(0.0, 20.0, 7), np.linspace(1.0, 0.3, 7) + 0.1j * np.sin(np.arange(7))),
+]
+REAL_PROFILES = [
+    TabulatedProfile(np.linspace(0.0, 20.0, 5), np.array([1.0, 0.7, 1.2, 0.4, 0.9])),
+    TabulatedProfile(np.linspace(0.0, 20.0, 4), np.array([0.5, 1.1, 0.8, 0.2])),
+]
+VANISHING_AT_EDGE = [
+    TabulatedProfile(np.array([0.0, 3.0, 20.0]), np.array([1.0, 0.0, 1.0])),
+    lambda r: np.ones_like(r),
+]
+# gaps next to the filter edge at 3.0 leave cells that the check rejects
+EDGE_LEVELS = [0.0, 2.999999, 6.0, 9.6637760088773543]
+
+
+@pytest.mark.parametrize(
+    "form_factors, filter_max, levels",
+    [
+        pytest.param(COMPLEX_PROFILES[:2], None, [0.0, 0.7, 1.9, 3.2], id="complex-2"),
+        pytest.param(COMPLEX_PROFILES, 2.5, [0.0, 0.4, 1.3, 2.8, 3.3], id="complex-3-filter-tabulated"),
+        pytest.param(REAL_PROFILES, None, [0.0, 1.1, 2.5, 2.6, 7.0], id="real-tabulated-2"),
+        pytest.param(None, 3.0, EDGE_LEVELS, id="flat-3-filter-bisects"),
+        pytest.param(COMPLEX_PROFILES[:2], 3.0, EDGE_LEVELS, id="complex-2-filter-bisects"),
+        # a profile that vanishes at the filter edge: only the pair (1, 1) jumps there
+        pytest.param(VANISHING_AT_EDGE, 3.0, EDGE_LEVELS, id="real-2-filter-bisects-apart"),
+    ],
+)
+def test_one_pass_table_equals_the_per_pair_shifts(form_factors, filter_max, levels):
+    calls = []
+    n = 3 if form_factors is None else len(form_factors)
+    bath = BathSpec(
+        beta=2.0,
+        kernel="quadrature",
+        uv_cutoff=20.0,
+        lamb_shift=True,
+        filter_max=filter_max,
+        mode_density=counted_density(calls),
+        form_factors=form_factors,
+    )
+    bohr = bohr_frequencies(spectral_decompose(np.diag(levels).astype(complex)))
+    table = correlation_table(bath, bohr, n)
+    # the damping part reads the density twice, a pass of one chunk without
+    # bisection twice more: on the shared cells and on the cells poles cut
+    assert len(calls) > 4 or levels is not EDGE_LEVELS
+    want = per_pair_table(bath, bohr, n)
+    assert np.array_equal(table.minus, want.minus)
+    assert np.array_equal(table.plus, want.plus)
+
+
+def test_mixed_real_and_complex_form_factors_round_alike():
+    # the stack of a real and a complex profile is complex, so the real pairs
+    # take complex arithmetic: the same values to rounding
+    bath = BathSpec(
+        beta=1.0,
+        kernel="quadrature",
+        uv_cutoff=20.0,
+        lamb_shift=True,
+        form_factors=[REAL_PROFILES[0], COMPLEX_PROFILES[1]],
+    )
+    bohr = bohr_frequencies(spectral_decompose(np.diag([0.0, 0.7, 1.9, 3.2, 4.4]).astype(complex)))
+    table, want = correlation_table(bath, bohr, 2), per_pair_table(bath, bohr, 2)
+    for got, ref in ((table.minus, want.minus), (table.plus, want.plus)):
+        assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()

@@ -273,3 +273,38 @@ def test_frequency_set_matches_pairwise_loop():
         freqs, pairs = loop_bohr_frequencies(spec.energies, spec.match_tol)
         assert np.array_equal(bohr.frequencies, freqs)
         assert bohr.pairs == pairs
+
+
+def scan_ladders(rng, count):
+    """Seeded ladders: generic levels, integer and quarter-integer ladders
+    (exact degeneracies), and steps that differ by fractions or whole
+    multiples of the tolerance, whose differences chain across it."""
+    for k in range(count):
+        n, tol = int(rng.integers(2, 16)), float(10.0 ** rng.uniform(-11, -4))
+        kind = k % 5
+        if kind == 0:
+            energies = rng.uniform(0.0, 3.0, n)
+        elif kind == 1:
+            energies = rng.integers(0, 7, n) * 0.25
+        elif kind == 2:
+            energies = np.arange(n) + np.cumsum(rng.choice([0.3, 0.45, 0.5, 1.0], n)) * tol
+        elif kind == 3:
+            energies = np.arange(n) * 0.5 + rng.integers(-2, 3, n) * tol
+        else:
+            energies = np.round(rng.uniform(0.0, 2.0, n), 1) + rng.uniform(0.0, 1.5, n) * tol
+        yield np.sort(energies), tol
+
+
+def test_frequency_set_matches_pairwise_loop_on_a_seeded_scan():
+    wide = 0
+    for energies, tol in scan_ladders(np.random.default_rng(2207), 60):
+        spec = spectral_decompose(np.diag(energies).astype(complex), cluster_tol=tol)
+        bohr = bohr_frequencies(spec)
+        freqs, pairs = loop_bohr_frequencies(spec.energies, spec.match_tol)
+        assert np.array_equal(bohr.frequencies, freqs)
+        assert bohr.pairs == pairs
+        # more clusters than gaps wider than tol: a run was scanned element-wise
+        diffs = np.sort(np.subtract.outer(spec.energies, spec.energies).ravel())
+        wide += len(freqs) > np.count_nonzero(np.diff(diffs) > spec.match_tol) + 1
+    assert wide >= 5
+
