@@ -293,7 +293,6 @@ def cmd_glauber(args) -> int:
     cs, bath, cfg = _glauber_setup(args)
     times = _times(args, cfg)
     mags = configuration_magnetizations(cs)
-    energies = configuration_energies(cs)
     idx = args.initial_configuration
     if not 0 <= idx < cs.dim:
         raise ConfigError(
@@ -305,9 +304,10 @@ def cmd_glauber(args) -> int:
         p0[idx] = 1.0
         dist = cks.evolve(p0, times)
         header = ["t", "magnetization", "energy"]
-        table = [(t, mags @ p, energies @ p) for t, p in zip(times, dist)]
+        table = [(t, mags @ p, cks.energies @ p) for t, p in zip(times, dist)]
     else:
         gen = quantum_glauber_generator(cs, bath)
+        energies = configuration_energies(cs)
         rho0 = np.zeros((cs.dim, cs.dim), dtype=complex)
         rho0[idx, idx] = 1.0
         states = evolve(gen, rho0, times).states

@@ -14,7 +14,12 @@ frequency decomposition of the sigma^x couplings.  The rate of flipping
 site r depends only on r and the spins (s_{r-1}, s_r, s_{r+1}), so the
 classical route holds its rate matrix as an n x 8 local flip-rate table:
 the solvers ask it for the columns they need, and the full 2^n-state
-matrix is assembled only when it is read.  A flip whose neighbours
+matrix is assembled only when it is read.  That route builds no (2^n x n)
+spin table: it reads each configuration as its basis index, whose bits are
+the spins, so the table comes from the 8 settings of each site's
+neighbourhood, the reflection and rotation images of the indices from
+shifts and masks, and the energies, on first read, from the bits of each
+bond.  A flip whose neighbours
 cancel (e_{r-1} = -e_{r+1}) is energy-neutral and has exactly zero rate;
 on rings whose length is a multiple of four this freezes the period-four
 configuration ++-- completely, while the strictly alternating pattern
@@ -51,7 +56,6 @@ from .evolution import ClassicalKineticSystem, _RATE_TOL
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
-    _unique,
     bohr_frequencies,
     matrix_unit,
     spectral_decompose,
@@ -172,6 +176,15 @@ def _bits(configs: np.ndarray, n_sites: int) -> np.ndarray:
     return (configs[:, np.newaxis] >> (n_sites - 1 - np.arange(n_sites))) & 1
 
 
+def _n_configurations(n_sites: int) -> int:
+    """2^n; ``ValueError`` past the enumeration cap."""
+    if n_sites > MAX_CLASSICAL_SITES:
+        raise ValueError(
+            f"{n_sites} sites exceed the enumeration cap {MAX_CLASSICAL_SITES}"
+        )
+    return 2**n_sites
+
+
 def spin_configurations(n_sites: int) -> np.ndarray:
     """All 2^n spin configurations as rows of +-1, in basis order.
 
@@ -179,11 +192,30 @@ def spin_configurations(n_sites: int) -> np.ndarray:
     most significant factor: bit 0 means spin +1, bit 1 means spin -1, so
     row 0 is all-up and the last row all-down.
     """
-    if n_sites > MAX_CLASSICAL_SITES:
-        raise ValueError(
-            f"{n_sites} sites exceed the enumeration cap {MAX_CLASSICAL_SITES}"
-        )
-    return (1 - 2 * _bits(np.arange(2**n_sites), n_sites)).astype(np.int8)
+    return (1 - 2 * _bits(np.arange(_n_configurations(n_sites)), n_sites)).astype(np.int8)
+
+
+def _reflected(n_sites: int) -> np.ndarray:
+    """Image of each configuration under the reflection r -> n-1-r: its bits
+    reversed, read as the two halves' reversals swapped."""
+    low = n_sites // 2
+    high = n_sites - low
+    # each value of the high half reversed; the low half has as many bits or
+    # one fewer, and a value below 2^(k-1) reversed over k-1 bits is its
+    # k-bit reversal shifted down by one
+    table = _bits(np.arange(2**high), high) @ (1 << np.arange(high))
+    return (table[:, np.newaxis] | ((table[: 2**low] >> (high - low)) << high)).ravel()
+
+
+def _rotated(n_sites: int) -> np.ndarray:
+    """Image of each configuration under the rotation r -> r+1: the last bit
+    moves to the front, ``(c >> 1) | ((c & 1) << (n-1))``, so even c go to
+    c >> 1 and odd c to the same with the first bit set."""
+    half = np.arange(2 ** (n_sites - 1))
+    out = np.empty(2 * len(half), dtype=half.dtype)
+    out[0::2] = half
+    np.bitwise_or(half, 1 << (n_sites - 1), out=out[1::2])
+    return out
 
 
 def configuration_index(sigma: Sequence[int]) -> int:
@@ -206,13 +238,35 @@ def configuration_energy(cs: SpinChainSpec, sigma: Sequence[int]) -> float:
 
 
 def configuration_energies(cs: SpinChainSpec) -> np.ndarray:
-    """Energies of all configurations, basis order."""
-    return configuration_energy(cs, spin_configurations(cs.n_sites))
+    """Energies of all configurations, basis order.
+
+    Read off the basis indices, as :func:`configuration_energy` of
+    :func:`spin_configurations` bit for bit: bond by bond, each subtracts J
+    where its two bits agree and -J where they differ.
+    """
+    return _energies(cs.n_sites, zip(cs.bond_sites(), cs.coupling))
+
+
+def _energies(n_sites: int, bonds) -> np.ndarray:
+    """:func:`configuration_energies` from ((a, b), J) per bond."""
+    configs = np.arange(_n_configurations(n_sites))
+    e = np.zeros(len(configs))
+    for (a, b), j in bonds:
+        apart = ((configs >> (n_sites - 1 - a)) ^ (configs >> (n_sites - 1 - b))) & 1
+        e -= j * (1 - 2 * apart)
+    return e
 
 
 def configuration_magnetizations(cs: SpinChainSpec) -> np.ndarray:
-    """Mean spin of each configuration, basis order."""
-    return spin_configurations(cs.n_sites).mean(axis=1)
+    """Mean spin of each configuration, basis order: ``(n - 2 N_down) / n``,
+    the down-spin counts doubled up site by site (the second half of the
+    configurations is the first with site 0 down)."""
+    n = cs.n_sites
+    size = _n_configurations(n)
+    down = np.zeros(1, dtype=np.int64)
+    while len(down) < size:
+        down = np.concatenate([down, down + 1])
+    return (n - 2 * down) / n
 
 
 def flip_frequency(cs: SpinChainSpec, sigma: Sequence[int], r: int) -> float:
@@ -325,11 +379,19 @@ def ising_system(cs: SpinChainSpec) -> tuple[np.ndarray, list]:
     return np.diag(configuration_energies(cs)), couplings
 
 
-def _neighbours(cs: SpinChainSpec) -> np.ndarray:
-    """Sites (s_{r-1}, r, s_{r+1}) around each site r, one row per site; -1
-    for a neighbour missing at an open edge."""
-    bonds = [(cs.left_bond(r), (r,), cs.right_bond(r)) for r in range(cs.n_sites)]
-    return np.array([[-1 if b is None else b[0] for b in row] for row in bonds]).reshape(-1, 3)
+def _neighbours(cs: SpinChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sites (s_{r-1}, r, s_{r+1}) around each site r, one row per site, and
+    the couplings of its (left, right) bonds, as ``left_bond`` and
+    ``right_bond`` give them: bond (a, b) is the right bond of a and the
+    left bond of b.  Site -1 and coupling 0 for a neighbour missing at an
+    open edge."""
+    a, b = np.array(cs.bond_sites(), dtype=int).reshape(-1, 2).T
+    near = np.full((cs.n_sites, 3), -1)
+    near[:, 1] = np.arange(cs.n_sites)
+    coupling = np.zeros((cs.n_sites, 2))
+    near[a, 2], coupling[a, 1] = b, cs.coupling
+    near[b, 0], coupling[b, 0] = a, cs.coupling
+    return near, coupling
 
 
 def _local_patterns(bits: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -340,6 +402,25 @@ def _local_patterns(bits: np.ndarray, near: np.ndarray) -> np.ndarray:
     return 4 * (bits[:, left] & (left >= 0)) + 2 * bits + (bits[:, right] & (right >= 0))
 
 
+def _rated(bath: BathSpec, released: np.ndarray) -> np.ndarray:
+    """Flip rate of each site (row) at each of its released energies.
+
+    Each distinct (site, released energy) is rated once, each distinct
+    energy once when no site has a form factor of its own; they are asked
+    site by site, each site's energies in ascending order, so the first
+    rate that fails names the site and energy a scan of the sites meets
+    first.
+    """
+    shared = bath.n_form_factors() is None
+    rows = released.tolist()
+    rates = {}
+    for r, row in enumerate(rows):
+        for e in sorted(set(row)):
+            if (key := e if shared else (r, e)) not in rates:
+                rates[key] = _flip_rate(bath, e, r)
+    return np.array([[rates[e if shared else (r, e)] for e in row] for r, row in enumerate(rows)])
+
+
 class _GlauberChain(ClassicalKineticSystem):
     """The jump process of a spin chain, held as its local flip-rate table.
 
@@ -347,17 +428,22 @@ class _GlauberChain(ClassicalKineticSystem):
     (s_{r-1}, s_r, s_{r+1}) read ``pattern`` (see :func:`_local_patterns`);
     patterns that never occur at r hold 0, and ``near`` holds the sites
     each pattern reads (:func:`_neighbours`).  Columns of K are computed
-    from it on request, and the full triples only on first access.
+    from it on request, and the full triples only on first access; so are
+    the configuration energies, from ``bonds``, ((a, b), J) per bond.
     """
 
-    def __init__(self, table: np.ndarray, near: np.ndarray, energies: np.ndarray,
+    def __init__(self, table: np.ndarray, near: np.ndarray, bonds: tuple,
                  symmetries: tuple) -> None:
-        self.table, self.near = table, near
-        self.energies, self.symmetries = energies, symmetries
+        self.table, self.near, self.bonds = table, near, bonds
+        self.symmetries = symmetries
 
     @property
     def size(self) -> int:
         return 2 ** len(self.table)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return _energies(len(self.table), self.bonds)
 
     @cached_property
     def _triples(self) -> Triples:
@@ -399,8 +485,11 @@ def classical_glauber_generator(
     negative or non-finite rate raises ``BathDomainError``.  The released
     energy, computed as in :func:`energy_release`, depends only on r and
     the spins (s_{r-1}, s_r, s_{r+1}), so the process is held as an n x 8
-    table of rates, each distinct (site, released energy) rated once.
-    ``evolve`` reads from it only the columns of K it needs; the full K
+    table of rates, built in one pass over the sites and the 8 settings of
+    their neighbourhoods, each distinct (site, released energy) rated once,
+    or each distinct energy once when no site has a form factor of its own.
+    ``evolve`` reads from it only the columns of K it needs, and
+    ``energies`` is computed on first read; the full K
     (``rate_matrix``, :meth:`~ClassicalKineticSystem.validate`,
     ``stationary``) is assembled on first access, one sparse matrix with
     columns summing to zero (``dp/dt = K p``).  Energy-neutral flips have zero
@@ -416,35 +505,40 @@ def classical_glauber_generator(
     rotation.  That holds for uniform couplings and equal form factors and
     fails for random bonds or per-site form factors; an invariant start,
     such as the all-up ground configuration, then evolves on the orbits (118
-    of them in the 12-ring's all-up component).
+    of them in the 12-ring's all-up component).  A kept symmetry's
+    permutation, the image of each configuration, is made from the basis
+    indices by shifts and masks.
     """
     _check_form_factors(cs, bath)
     n = cs.n_sites
-    spins = spin_configurations(n)
-    near = _neighbours(cs)
+    _n_configurations(n)  # refuses chains past the enumeration cap
+    near, coupling = _neighbours(cs)
+    # site r's neighbourhood set in each of the 8 ways, as configurations: a
+    # slot's bits go to the sites they name, so on the two-site ring, whose
+    # neighbours are one site, both neighbour bits are set together
     slots = (np.arange(8)[:, np.newaxis] >> np.arange(2, -1, -1)) & 1
+    local = np.bitwise_or.reduce(slots * np.where(near >= 0, 1 << (n - 1 - near), 0)[:, np.newaxis], axis=2)
+    # the bits of (s_{r-1}, s_r, s_{r+1}) that each sets, a missing neighbour's 0
+    bits = (local[..., np.newaxis] >> (n - 1 - near[:, np.newaxis])) & 1
+    spins = 1 - 2 * bits
+    # the released energy, as energy_release computes it
+    frequency = coupling[:, :1] * spins[..., 0] + coupling[:, 1:] * spins[..., 2]
+    released = -2.0 * spins[..., 1] * frequency
     table = np.zeros((n, 8))
-    for r in range(n):
-        # the configurations that set site r and its neighbours in every way
-        local = np.bitwise_or.reduce(slots * np.where(near[r] >= 0, 1 << (n - 1 - near[r]), 0), axis=1)
-        bits = _bits(local, n)
-        pattern = _local_patterns(bits, near)[:, r]
-        released = energy_release(cs, 1 - 2 * bits, r)
-        levels = _unique(released)
-        rated = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
-        table[r, pattern] = rated[np.searchsorted(levels, released)]
-    # the image of a configuration under the site map s has the spin of site r at s[r]
-    maps = np.array([n - 1 - np.arange(n), (np.arange(n) + 1) % n][: 1 + (cs.boundary == "periodic")])
-    perms = (1 << (n - 1 - maps)) @ (spins < 0).T
+    table[np.arange(n)[:, np.newaxis], bits @ [4, 2, 1]] = _rated(bath, released)
     # the reflection swaps the neighbour bits of each pattern, the rotation
     # keeps them; either takes the patterns that occur at r to those that
     # occur at s[r], so the zeros of the others meet zeros
     patterns = np.arange(8)
-    images = ((patterns & 2) | (patterns >> 2) | ((patterns & 1) << 2), patterns)
+    candidates = (
+        (n - 1 - np.arange(n), (patterns & 2) | (patterns >> 2) | ((patterns & 1) << 2), _reflected),
+        ((np.arange(n) + 1) % n, patterns, _rotated),
+    )[: 1 + (cs.boundary == "periodic")]
     tol = _RATE_TOL * max(1.0, table.max())
-    symmetries = tuple(p for p, s, image in zip(perms, maps, images)
-                       if (np.abs(table[s][:, image] - table) <= tol).all())
-    return _GlauberChain(table, near, configuration_energy(cs, spins), symmetries)
+    # the image of a configuration under the site map s has the spin of site r at s[r]
+    symmetries = tuple(image(n) for s, swap, image in candidates
+                       if (np.abs(table[s][:, swap] - table) <= tol).all())
+    return _GlauberChain(table, near, tuple(zip(cs.bond_sites(), cs.coupling)), symmetries)
 
 
 def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 ``classical_glauber_generator`` holds K as one rate per site and pattern of
 (s_{r-1}, s_r, s_{r+1}) and assembles the full triples only on first access.
-The oracle here is the earlier construction over all 2^n configurations at
-once, with each column put in row order by a sort; the two must agree bit
-for bit, symmetries included.
+The oracles here are the earlier constructions over the (2^n x n) spin
+table: K over all 2^n configurations at once, with each column put in row
+order by a sort, and the table, energies, magnetizations and symmetries read
+off the spin table.  The generator now computes all of these from the
+configuration integers; the two must agree bit for bit.
 """
 
 import math
@@ -18,10 +20,13 @@ from stoclim import (
     ClassicalKineticSystem,
     SpinChainSpec,
     classical_glauber_generator,
+    configuration_energies,
+    configuration_energy,
+    configuration_magnetizations,
     energy_release,
     spin_configurations,
 )
-from stoclim._sparse import summed
+from stoclim._sparse import summed, to_scipy
 from stoclim.evolution import _RATE_TOL
 from stoclim.glauber import _flip_rate
 
@@ -91,6 +96,69 @@ def test_table_gives_the_sorted_assembly_bit_for_bit(n):
         kept += len(symmetries)
         cks.validate()
     assert kept
+
+
+def spin_table_construction(cs, bath):
+    """The rate table, energies, magnetizations and kept symmetries read off
+    the (2^n x n) spin table: each site rated at the released energy of every
+    configuration, each of its distinct energies once, and each candidate
+    site map's permutation made from the table's down-spin bits."""
+    n = cs.n_sites
+    spins = spin_configurations(n)
+    down = (spins < 0).astype(int)
+    table = np.zeros((n, 8))
+    for r in range(n):
+        pattern = 2 * down[:, r]
+        for weight, bond in ((4, cs.left_bond(r)), (1, cs.right_bond(r))):
+            if bond is not None:
+                pattern = pattern + weight * down[:, bond[0]]
+        released = energy_release(cs, spins, r)
+        levels = np.unique(released)
+        rated = np.array([_flip_rate(bath, e, r) for e in levels.tolist()])
+        table[r, pattern] = rated[np.searchsorted(levels, released)]
+    maps = np.array([n - 1 - np.arange(n), (np.arange(n) + 1) % n][: 1 + (cs.boundary == "periodic")])
+    perms = (1 << (n - 1 - maps)) @ down.T
+    # the reflection swaps a pattern's neighbour bits, the rotation keeps them
+    patterns = np.arange(8)
+    images = ((patterns & 2) | (patterns >> 2) | ((patterns & 1) << 2), patterns)
+    tol = _RATE_TOL * max(1.0, table.max())
+    symmetries = [p for p, s, image in zip(perms, maps, images)
+                  if (np.abs(table[s][:, image] - table) <= tol).all()]
+    return table, configuration_energy(cs, spins), spins.mean(axis=1), symmetries
+
+
+def tied_cases(n):
+    """Signed whole-number and zero bonds, whose released energies repeat
+    from site to site, at beta 1 and infinity, with no and per-site form
+    factors."""
+    rng = np.random.default_rng(80 + n)
+    for boundary in ("open", "periodic"):
+        n_bonds = SpinChainSpec(n_sites=n, boundary=boundary).n_bonds
+        for coupling in (tuple(rng.integers(-2, 3, n_bonds).astype(float)), (0.0,) * n_bonds, -0.5):
+            cs = SpinChainSpec(n_sites=n, coupling=coupling, boundary=boundary)
+            for beta in (1.0, math.inf):
+                for form_factors in (None, [lambda w, s=s: 1.0 / (1.0 + s * w) for s in range(n)]):
+                    yield cs, BathSpec(beta=beta, form_factors=form_factors)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_configuration_integers_give_the_spin_table_construction_bit_for_bit(n):
+    for cs, bath in (*cases(n), *tied_cases(n)):
+        cks = classical_glauber_generator(cs, bath)
+        assert "energies" not in vars(cks)
+        table, energies, magnetizations, symmetries = spin_table_construction(cs, bath)
+        assert cks.table.dtype == table.dtype and cks.table.tobytes() == table.tobytes()
+        for got in (cks.energies, configuration_energies(cs)):
+            assert got.dtype == energies.dtype and got.tobytes() == energies.tobytes()
+        got = configuration_magnetizations(cs)
+        assert got.dtype == magnetizations.dtype and got.tobytes() == magnetizations.tobytes()
+        assert len(cks.symmetries) == len(symmetries)
+        for p, q in zip(cks.symmetries, symmetries):
+            assert p.dtype == np.int64 and np.array_equal(p, q)
+        want = to_scipy(sorted_assembly(cs, bath)[0], "csc")
+        k = cks.rate_matrix
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(k, a), getattr(want, a))
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])

@@ -1,6 +1,7 @@
 """Spin-chain kinetics: flip rates, kinetic constraints, quantum agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,19 +370,43 @@ def test_sparse_classical_generator():
     assert np.abs(k @ p_g).max() < 1e-12 * np.abs(k.toarray()).max()
 
 
-def test_classical_generator_enumerates_the_configurations_once(monkeypatch):
+def test_classical_route_builds_no_spin_table(monkeypatch, tmp_path):
+    # the classical route reads configurations as basis indices: the
+    # generator, evolve and the glauber command never ask for the spin table
     import stoclim.glauber
+    from stoclim import cli
 
-    calls = []
-    enumerate_all = stoclim.glauber.spin_configurations
-    monkeypatch.setattr(
-        stoclim.glauber, "spin_configurations", lambda n: calls.append(n) or enumerate_all(n)
-    )
+    def refuse(n):
+        raise AssertionError(f"the spin table of {n} sites was built")
+
+    monkeypatch.setattr(stoclim.glauber, "spin_configurations", refuse)
     cs = SpinChainSpec(n_sites=6, coupling=[1.0, 0.5, 1.5, 1.0, 2.0, 0.7], boundary="periodic")
     cks = classical_glauber_generator(cs, BathSpec(beta=1.0))
-    assert calls == [6]
+    p0 = np.zeros(cks.size)
+    p0[0] = 1.0
+    dist = cks.evolve(p0, [0.0, 0.5, 1.0])
+    energies = cks.energies
+    out = tmp_path / "ring.csv"
+    code = cli.main(["glauber", "--sites", "6", "--coupling", "1.0", "--boundary", "periodic",
+                     "--beta", "1", "--mode", "classical", "--t-max", "1", "--points", "3",
+                     "--out", str(out)])
+    assert code == 0 and len(out.read_text().splitlines()) == 4
     monkeypatch.undo()
-    assert np.array_equal(cks.energies, configuration_energies(cs))
+    spins = spin_configurations(6)
+    assert energies.tobytes() == configuration_energy(cs, spins).tobytes()
+    assert dist.shape == (3, 64)
+    # the 16-ring's generator holds its two kept permutations and a transient
+    # half-length index array; the int64 arrays made from a spin table take
+    # 8 MB each
+    cs16 = SpinChainSpec(n_sites=16, coupling=1.0, boundary="periodic")
+    tracemalloc.start()
+    try:
+        cks16 = classical_glauber_generator(cs16, BathSpec(beta=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cks16.symmetries) == 2
+    assert peak <= 4 * 2**16 * np.dtype(np.int64).itemsize
 
 
 def test_classical_site_cap():
