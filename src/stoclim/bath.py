@@ -116,15 +116,17 @@ class BathSpec:
             raise BathConfigurationError(f"unknown kernel {self.kernel!r}")
         if self.dos not in ("paper", "physical"):
             raise BathConfigurationError(f"unknown dos convention {self.dos!r}")
-        if self.filter_max is not None and self.filter_max <= 0:
-            raise BathConfigurationError("filter_max must be positive")
+        if self.filter_max is not None and not self.filter_max > 0:
+            raise BathConfigurationError(f"filter_max must be positive, got {self.filter_max}")
         if self.lamb_shift:
             if self.kernel != "quadrature":
                 raise BathConfigurationError("lamb_shift requires the quadrature kernel")
             if self.uv_cutoff is None:
                 raise BathConfigurationError("lamb_shift requires a finite uv_cutoff")
-        if self.uv_cutoff is not None and self.uv_cutoff <= 0:
-            raise BathConfigurationError("uv_cutoff must be positive")
+        if self.uv_cutoff is not None and not 0 < self.uv_cutoff < math.inf:
+            raise BathConfigurationError(
+                f"uv_cutoff must be positive and finite, got {self.uv_cutoff}"
+            )
 
     def dos_factor(self, omega: float) -> float:
         """Mode-density factor j(omega)."""

@@ -124,13 +124,16 @@ def _complex_matrix(node, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+# the largest finite float; the comparisons with it are exact for integers too,
+# so an integer too large for a float is refused instead of overflowing
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _positive_real(node, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{path}: expected a positive number, got {node!r}")
-    val = float(node)
-    if not val > 0:
-        raise ConfigError(f"{path}: expected a positive number, got {val}")
-    return val
+    """A finite number > 0; booleans, non-numbers, NaN and infinities are refused."""
+    if isinstance(node, bool) or not isinstance(node, (int, float)) or not 0 < node <= _FLOAT_MAX:
+        raise ConfigError(f"{path}: expected a finite positive number, got {node!r}")
+    return float(node)
 
 
 def _load_profile(name, path: str, base_dir: str) -> TabulatedProfile:
@@ -172,10 +175,9 @@ def _parse_spin(node, path: str) -> SpinChainSpec:
     if isinstance(sites, bool) or not isinstance(sites, int):
         raise ConfigError(f"{path}.sites: expected an integer, got {sites!r}")
     coupling = node.get("J", 1.0)
-    if isinstance(coupling, list):
-        coupling = [float(j) for j in coupling]
-    elif isinstance(coupling, bool) or not isinstance(coupling, (int, float)):
-        raise ConfigError(f"{path}.J: expected a number or list, got {coupling!r}")
+    values = coupling if isinstance(coupling, list) else [coupling]
+    if any(isinstance(j, bool) or not isinstance(j, (int, float)) for j in values):
+        raise ConfigError(f"{path}.J: expected a number or a list of numbers, got {coupling!r}")
     boundary = node.get("boundary", "open")
     try:
         return SpinChainSpec(n_sites=sites, coupling=coupling, boundary=boundary)
@@ -232,11 +234,6 @@ def _parse_bath(node, path: str, base_dir: str) -> BathSpec:
         )
     except BathConfigurationError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-# the largest finite float; the comparisons below are exact for integers too,
-# so an integer too large for a float is refused instead of overflowing
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _run_t_max(node, path: str) -> float:

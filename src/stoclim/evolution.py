@@ -638,23 +638,23 @@ def _balance_gap(k: Triples, dist) -> Triples:
 def gibbs_state(beta: float, spec: SpectralData) -> np.ndarray:
     """Thermal state ``exp(-beta H) / Z`` from spectral data.
 
-    One rotation ``V diag(w) V^dag`` of the Boltzmann weights of the
-    eigenbasis columns, so degenerate levels are weighted by their rank;
-    ``beta = inf`` gives the normalised ground-level projector.
+    One rotation ``V diag(p) V^dag`` of the :func:`gibbs_distribution` ``p``
+    of the eigenbasis columns' energies, so degenerate levels are weighted
+    by their rank; ``beta = inf`` gives the normalised ground-level projector.
     """
-    if beta == math.inf:
-        w = (spec.level_of_column == 0).astype(float)
-    else:
-        en = spec.energies - spec.energies.min()
-        w = np.exp(-beta * en[spec.level_of_column])
+    p = gibbs_distribution(beta, spec.energies[spec.level_of_column])
     v = np.asarray(spec.basis, dtype=complex)
-    return (v * (w / w.sum())) @ dag(v)
+    return (v * p) @ dag(v)
 
 
 def gibbs_distribution(beta: float, energies: np.ndarray) -> np.ndarray:
-    """Normalised Boltzmann weights over a list of configuration energies."""
+    """Normalised Boltzmann weights over a list of configuration energies;
+    ``beta = inf`` gives the uniform distribution over the lowest ones."""
     en = np.asarray(energies, dtype=float)
-    w = np.exp(-beta * (en - en.min()))
+    if beta == math.inf:
+        w = (en == en.min()).astype(float)
+    else:
+        w = np.exp(-beta * (en - en.min()))
     return w / w.sum()
 
 

@@ -31,10 +31,14 @@ Bohr frequencies at once.  Each coupling is rotated once,
 of ``C_j`` belongs to, so each ``A_j`` is ``C_j`` restricted to the entries
 of its frequency.  The reservoir constants are gathered as (F, n, n) stacks
 over the Bohr set and checked positive in one batched ``eigvalsh`` per
-branch.  The shift Hamiltonian, the drift's damping sums and the
-superoperator are pair sums over entries of one frequency: ``A_i^dag A_j``
-pairs entries in one row, ``A_j A_i^dag`` entries in one column, and a jump
-term any two entries.  Lab-basis operators are rotations ``V X V^dag`` of
+branch.  The entries of each frequency are paired once, in
+:func:`_jump_terms`: a jump term pairs any two of them, and the damping
+sums ``A_i^dag A_j`` and ``A_j A_i^dag`` are a reduction of the jump terms,
+their Heisenberg dual at the identity (trace preservation): the terms that
+land on a diagonal, added at their source.  ``build_generator`` takes the
+shift Hamiltonian from one such pass over the shift constants, and a
+generator's one pass over its channels gives both the superoperator's jump
+part and the drift.  Lab-basis operators are rotations ``V X V^dag`` of
 this data; :attr:`Generator.channels` are views of the stacks.  The sparse
 eigenbasis superoperator is held as numpy triples, which the actions in both
 pictures multiply directly; scipy sees it only through the CSR view and the
@@ -143,27 +147,42 @@ def _t(stack: np.ndarray) -> np.ndarray:
     return stack.swapaxes(-1, -2)
 
 
-def _damping_sums(components, group, minus, plus) -> tuple:
-    """``sum_k sum_ij minus[k,i,j] A_i^dag A_j`` and ``sum_k sum_ij plus[k,i,j]
-    A_j A_i^dag``, with ``A_i`` the coupling ``components[i]`` restricted to
-    the entries with ``group == k`` (-1: none).
+def _jump_terms(components, group, minus, plus) -> tuple:
+    """Jump terms of the channels ``group`` sorts the entries into, and their
+    damping sums, from one product per pair of entries of a channel.
 
-    ``A_i^dag A_j`` pairs the entries ``(c, a)`` and ``(c, b)`` of a group
-    that share a row, ``A_j A_i^dag`` the entries ``(a, c)`` and ``(b, c)``
-    that share a column; each pair adds to the product's ``[a, b]``.
+    ``A_i`` is the coupling ``components[i]`` restricted to the entries with
+    ``group == k`` (-1: none), weighted by ``minus[k]`` and ``plus[k]``.
+    Returns the eigenbasis superoperator entries ``(rows, cols, values)``,
+    as lists of arrays, of the emission terms ``A_j rho A_i^dag`` and the
+    absorption terms ``A_i^dag rho A_j``, then the damping sums ``sum_k
+    sum_ij minus[k,i,j] A_i^dag A_j`` and ``sum_k sum_ij plus[k,i,j] A_j
+    A_i^dag`` as one (2, d, d) array.  These are the jump terms' Heisenberg
+    dual at the identity: each branch's terms that land on a diagonal
+    ``|a><a|``, added at their source (a vectorised ``[a, b]`` is the
+    row-major ``[b, a]``).
     """
     d = components.shape[1]
     tgt, src = np.indices((d, d)).reshape(2, -1)
-    out = np.zeros((2, d * d), dtype=complex)
+    rows, cols, vals = [], [], []
+    damping = np.zeros((2, d * d), dtype=complex)
     for pos, col, row in _blocks(components, group.ravel()):
         k = group.ravel()[pos[:, 0]]
+        # emission maps |src_y><src_x| to |tgt_y><tgt_x| for the entries x, y
+        # of a channel, and absorption maps it back
         x, y = pos[:, :, np.newaxis], pos[:, np.newaxis, :]
-        row_pair, col_pair = tgt[x] == tgt[y], src[x] == src[y]
-        emission = _pair_sum(minus[k], col.conj(), row)[row_pair]
-        absorption = _pair_sum(_t(plus[k]), col, row.conj())[col_pair]
-        np.add.at(out[0], (d * src[x] + src[y])[row_pair], emission)
-        np.add.at(out[1], (d * tgt[x] + tgt[y])[col_pair], absorption)
-    return tuple(out.reshape(2, d, d))
+        targets, sources = tgt[y] + d * tgt[x], src[y] + d * src[x]
+        terms = (
+            (targets, sources, _pair_sum(minus[k], col.conj(), row)),
+            (sources, targets, _pair_sum(_t(plus[k]), col, row.conj())),
+        )
+        for out, (r, c, v) in zip(damping, terms):
+            on_diagonal = r % (d + 1) == 0
+            np.add.at(out, c[on_diagonal], v[on_diagonal])
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+    return rows, cols, vals, damping.reshape(2, d, d)
 
 
 @dataclass(eq=False)
@@ -177,10 +196,10 @@ class DissipationChannel:
     basis: np.ndarray  # V: an eigenbasis X is V X V^dag in the lab basis
 
     @cached_property
-    def _damping(self) -> tuple:
-        # (k_minus, k_plus) in the eigenbasis
-        c, c_dag = self.components, _t(self.components).conj()
-        return _pair_sum(self.gamma_minus, c_dag, c), _pair_sum(self.gamma_plus.T, c, c_dag)
+    def _damping(self) -> np.ndarray:
+        # (k_minus, k_plus) in the eigenbasis; every entry a coupling reaches pairs
+        group = np.where(np.any(self.components != 0.0, axis=0), 0, -1)
+        return _jump_terms(self.components, group, self.gamma_minus[None], self.gamma_plus[None])[3]
 
     @cached_property
     def lowering(self) -> tuple:
@@ -256,31 +275,26 @@ class Generator:
         return to_scipy(self._triples, "csr")
 
     @cached_property
+    def _jumps(self) -> tuple:
+        """The channels' jump terms and damping sums, from one pass of
+        :func:`_jump_terms`; the drift reads the sums, and :attr:`_triples`
+        the terms, after which they are dropped."""
+        return _jump_terms(self.components, self.channel_of, self.gamma_minus, self.gamma_plus)
+
+    @cached_property
     def _triples(self) -> Triples:
         """The eigenbasis superoperator as summed, zero-free triples."""
         d = self.dim
-        tgt, src = np.indices((d, d)).reshape(2, -1)
-        rows, cols, vals = [], [], []
-        for pos, col, row in _blocks(self.components, self.channel_of.ravel()):
-            k = self.channel_of.ravel()[pos[:, 0]]
-            # emission A_j rho A_i^dag and absorption A_i^dag rho A_j of the
-            # entries x, y of a channel, which map |src_y><src_x| to
-            # |tgt_y><tgt_x| and back
-            x, y = pos[:, :, np.newaxis], pos[:, np.newaxis, :]
-            targets, sources = tgt[y] + d * tgt[x], src[y] + d * src[x]
-            rows += [targets, sources]
-            cols += [sources, targets]
-            vals += [
-                _pair_sum(self.gamma_minus[k], col.conj(), row),
-                _pair_sum(_t(self.gamma_plus[k]), col, row.conj()),
-            ]
         h_eff = -1j * self._eigen_drift
+        rows, cols, vals, _ = self._jumps
+        # the drift holds the pass's damping sums; its jump terms end here
+        del self.__dict__["_jumps"]
         m, p = np.nonzero(h_eff != 0.0)
         h = h_eff[m, p][:, np.newaxis]
         n = np.arange(d)
-        rows += [_vec_index(m, n, d), _vec_index(n, m, d).T]
-        cols += [_vec_index(p, n, d), _vec_index(n, p, d).T]
-        vals += [np.broadcast_to(z, (len(h), d)) for z in (-1j * h, 1j * h.conj())]
+        rows = rows + [_vec_index(m, n, d), _vec_index(n, m, d).T]
+        cols = cols + [_vec_index(p, n, d), _vec_index(n, p, d).T]
+        vals = vals + [np.broadcast_to(z, (len(h), d)) for z in (-1j * h, 1j * h.conj())]
         data, r, c = (np.concatenate([x.ravel() for x in xs]) for xs in (vals, rows, cols))
         return summed(data, r, c, (d * d, d * d))
 
@@ -293,9 +307,7 @@ class Generator:
     @cached_property
     def _eigen_drift(self) -> np.ndarray:
         """``G = i shift + (1/2) sum_w (k_minus + k_plus)`` (eigenbasis)."""
-        k_minus, k_plus = _damping_sums(
-            self.components, self.channel_of, self.gamma_minus, self.gamma_plus
-        )
+        k_minus, k_plus = self._jumps[3]
         return 1j * self.shift + 0.5 * (k_minus + k_plus)
 
     @cached_property
@@ -367,7 +379,7 @@ def build_generator(
     # level pairs no coupling connects (exact zeros, e.g. in a permutation
     # eigenbasis) belong to no frequency: they add nothing
     index = np.where(np.any(rotated != 0.0, axis=0), frequency_index(spec, bohr), -1)
-    s_m, s_p = _damping_sums(rotated, np.where(has_shift[index], index, -1), sh_m, sh_p)
+    s_m, s_p = _jump_terms(rotated, np.where(has_shift[index], index, -1), sh_m, sh_p)[3]
     shift = s_m - s_p
     # frequencies whose components all vanish carry no channel
     realised = np.bincount(index[index >= 0], minlength=len(freqs)) > 0

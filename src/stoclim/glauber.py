@@ -133,6 +133,8 @@ class SpinChainSpec:
                     f"got {len(vals)} couplings for a chain with {n_bonds} bonds"
                 )
             self.coupling = vals
+        if not all(math.isfinite(j) for j in self.coupling):
+            raise ValueError(f"couplings must be finite, got {self.coupling}")
 
     @property
     def n_bonds(self) -> int:
@@ -621,14 +623,16 @@ def ti_rate_constant(bath: BathSpec, j_coupling: float) -> float:
 
 
 def ti_flip_rates(bath: BathSpec, j_coupling: float) -> tuple[float, float]:
-    """Closed-form (downhill, uphill) rates of the uniform ring.
+    """(downhill, uphill) rates of the uniform ring: the bath's emission and
+    absorption rates at released frequency 2J.
 
-    ``C/(1 - exp(-2*beta*J))`` and ``C/(exp(2*beta*J) - 1)``; the ratio
-    uphill/downhill is exactly ``exp(-2*beta*J)``.
+    For the thermal bath these are ``C/(1 - exp(-2*beta*J))`` and
+    ``C/(exp(2*beta*J) - 1)``, whose ratio uphill/downhill is
+    ``exp(-2*beta*J)``.
     """
-    c = ti_rate_constant(bath, j_coupling)
-    occupation = bath.raw_density(2.0 * j_coupling)
-    return c * (occupation + 1.0), c * occupation
+    if j_coupling <= 0:
+        raise ValueError("the closed forms need a positive coupling")
+    return emission_rate(bath, 2.0 * j_coupling), absorption_rate(bath, 2.0 * j_coupling)
 
 
 def ti_offdiagonal_rate(bath: BathSpec, j_coupling: float, n_sites: int) -> float:

@@ -23,6 +23,7 @@ derived spectral data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,10 +66,11 @@ def matrix_unit(dim: int, mu: int, nu: int) -> np.ndarray:
 
 
 def validate_hermitian(mat: np.ndarray) -> np.ndarray:
-    """Check that ``mat`` is a square Hermitian matrix.
+    """Check that ``mat`` is a square, finite, Hermitian matrix.
 
     Returns the matrix as a complex ndarray.  Raises ``ValueError`` naming
-    the largest offending entry if ``||M - M^dag||_F > 1e-12 * ||M||_F``.
+    the first non-finite entry, or the largest offending entry if
+    ``||M - M^dag||_F > 1e-12 * ||M||_F``.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -77,6 +79,9 @@ def validate_hermitian(mat: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension {mat.shape[0]} exceeds the supported cap {MAX_DIMENSION}"
         )
+    if not np.isfinite(mat).all():
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(mat))[0])
+        raise ValueError(f"matrix entry {idx} is {mat[idx]}: entries must be finite")
     diff = mat - dag(mat)
     norm = np.linalg.norm(mat)
     bound = 1e-12 * max(norm, 1e-12)
@@ -147,8 +152,11 @@ def spectral_decompose(
 
     Eigenvalues closer than ``cluster_tol`` (default: 1e-9 times the spectral
     range) are merged into one level whose projector spans the corresponding
-    eigenvectors.  Levels are returned in strictly increasing order.
+    eigenvectors.  Levels are returned in strictly increasing order.  A
+    non-finite ``cluster_tol`` raises ``ValueError``.
     """
+    if cluster_tol is not None and not math.isfinite(cluster_tol):
+        raise ValueError(f"cluster_tol must be finite, got {cluster_tol}")
     h = validate_hermitian(hamiltonian)
     vals, vecs = np.linalg.eigh(h)
     spread = float(vals[-1] - vals[0]) if len(vals) > 1 else 0.0

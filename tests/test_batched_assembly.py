@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stoclim.bath
+import stoclim.generator
 from stoclim import (
     BathDomainError,
     BathSpec,
@@ -19,6 +20,7 @@ from stoclim import (
     build_generator,
     correlation_table,
     diagonal_restriction,
+    evolve,
     filtered_density,
     frequency_index,
     frequency_mask,
@@ -26,6 +28,7 @@ from stoclim import (
     pv_lamb_shift,
     quantum_glauber_generator,
     spectral_decompose,
+    stationary_state,
     unvectorize,
     vectorize,
 )
@@ -325,6 +328,36 @@ def test_no_per_frequency_loops(monkeypatch):
     gen = build_generator(spec, [coupling], table, bohr)
     assert counts["eigvalsh"] <= 2
     assert len(gen.channels) == 136
+
+
+def test_each_generator_pairs_the_entries_of_its_channels_once(monkeypatch):
+    # build_generator pairs the entries of each frequency once, for the shift;
+    # the generator pairs its channels' entries once more, and that one pass
+    # gives both the jump terms and the drift's damping sums
+    spec, coupling, bath = generic_17()
+    bohr = bohr_frequencies(spec)
+    table = correlation_table(bath, bohr, 1)
+    passes = []
+    blocks = stoclim.generator._blocks
+
+    def counted_blocks(*args):
+        passes.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(stoclim.generator, "_blocks", counted_blocks)
+    gen = build_generator(spec, [coupling], table, bohr)
+    assert len(passes) == 1
+    evolve(gen, np.diag(np.eye(17)[0]).astype(complex), np.linspace(0.0, 2.0, 5))
+    stationary_state(gen)
+    diagonal_restriction(gen)
+    assert len(passes) == 2
+    # the drift and the triples share that pass, whichever is read first
+    for first in ("_eigen_drift", "_triples"):
+        del gen.__dict__["_triples"], gen.__dict__["_eigen_drift"]
+        getattr(gen, first)
+        gen._eigen_drift, gen._triples
+    assert len(passes) == 4
+    assert "_jumps" not in gen.__dict__
 
 
 def test_lookup_survives_rounding_of_the_tolerance_edge():

@@ -1,6 +1,7 @@
 """Trajectories, stationary states, classical kinetics, fitting helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,21 @@ def test_gibbs_distribution_matches_state():
     rho = gibbs_state(0.9, spec)
     assert np.abs(p - np.diag(rho).real).max() < 1e-14
     assert abs(p.sum() - 1.0) < 1e-14
+
+
+def test_zero_temperature_gibbs_distribution_is_uniform_on_the_ground_configurations():
+    energies = np.array([1.0, -2.0, 3.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = gibbs_distribution(math.inf, energies)
+    assert np.array_equal(p, [0.0, 0.5, 0.0, 0.5])
+    # the beta -> inf limit of the finite-temperature weights
+    assert np.abs(gibbs_distribution(50.0, energies) - p).max() < 1e-60
+    # the state is the same rule, on the eigenbasis columns
+    spec = spectral_decompose(np.diag(energies).astype(complex))
+    for beta in (0.3, 1.0, 7.0, math.inf):
+        rho = gibbs_state(beta, spec)
+        assert np.abs(rho - np.diag(gibbs_distribution(beta, energies))).max() < 1e-15
 
 
 def test_trace_distance_basics():

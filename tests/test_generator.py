@@ -277,6 +277,35 @@ def test_drift_splits_into_damping_and_shift():
         assert np.abs(anti - gen.h_shift).max() < 1e-9 * gen.norm_scale()
 
 
+def test_channel_damping_is_the_dense_product_of_its_lowering_operators():
+    # k_minus and k_plus are reductions of the channel's jump terms; in a
+    # degenerate spectrum a channel pairs entries of several level pairs
+    rng = np.random.default_rng(57)
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    h = u @ np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 3.0]) @ dag(u)
+    spec = spectral_decompose(0.5 * (h + dag(h)))
+    bohr = bohr_frequencies(spec)
+    bath = BathSpec(
+        beta=0.7,
+        kernel="quadrature",
+        uv_cutoff=50.0,
+        lamb_shift=True,
+        form_factors=[lambda w: 1.0 + 0.4j * w, lambda w: 0.7 - 0.2j * w * w],
+    )
+    couplings = [random_hermitian(rng, 6), random_hermitian(rng, 6)]
+    gen = build_generator(spec, couplings, correlation_table(bath, bohr, 2), bohr)
+    for ch in gen.channels:
+        a = np.array(ch.lowering)
+        want_minus = np.einsum("ij,iba,jbc->ac", ch.gamma_minus, a.conj(), a)
+        want_plus = np.einsum("ij,jab,icb->ac", ch.gamma_plus, a, a.conj())
+        scale = gen.norm_scale() * max(1.0, np.abs(a).max()) ** 2
+        assert np.abs(ch.k_minus - want_minus).max() < 1e-13 * scale
+        assert np.abs(ch.k_plus - want_plus).max() < 1e-13 * scale
+    total = sum(ch.k_minus + ch.k_plus for ch in gen.channels)
+    herm = 0.5 * (gen._drift + dag(gen._drift))
+    assert np.abs(herm - 0.5 * total).max() < 1e-13 * gen.norm_scale()
+
+
 def test_multi_coupling_complex_form_factors():
     # complex-valued form factors make the cross-rate matrices genuinely
     # complex; Hermiticity, positivity, and Gibbs stationarity must survive

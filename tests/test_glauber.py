@@ -16,6 +16,7 @@ from stoclim import (
     configuration_energy,
     configuration_index,
     e_omega,
+    emission_rate,
     energy_release,
     evolve,
     flip_frequency,
@@ -281,6 +282,25 @@ def test_ti_closed_forms():
         )
     with pytest.raises(ValueError):
         ti_rate_constant(bath, -1.0)
+
+
+def test_ti_flip_rates_are_the_bath_rates_at_twice_the_coupling():
+    # the closed forms read the bath's own rates, so spontaneous emission,
+    # the pass band and the uv cutoff all act on them
+    baths = [
+        BathSpec(beta=1.0),
+        BathSpec(beta=1.0, spontaneous_emission=False),
+        BathSpec(beta=0.5, filter_max=1.5),
+        BathSpec(beta=1.0, uv_cutoff=1.5),
+    ]
+    rates = [ti_flip_rates(bath, 1.0) for bath in baths]
+    for bath, got in zip(baths, rates):
+        assert got == (emission_rate(bath, 2.0), absorption_rate(bath, 2.0))
+    # no spontaneous part: downhill is the thermal rate, like uphill
+    assert rates[1] == (rates[0][1], rates[0][1])
+    # the band stops below 2J: no thermal quanta, spontaneous emission only
+    assert rates[2][0] > 0.0 and rates[2][1] == 0.0
+    assert rates[3] == (0.0, 0.0)
 
 
 def test_pair_decay_exactly_linear_in_size():
