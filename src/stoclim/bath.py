@@ -15,7 +15,14 @@ principal-value integrals over the reservoir density and produce pure level
 shifts; they can be non-zero even at frequencies whose damping rate is zero
 (a shift without decay).  They are taken at ``0 < w < uv_cutoff`` only: at
 ``w <= 0`` the table holds no shift either.  Shift evaluation is off by
-default and requires the quadrature kernel with an ultraviolet cutoff.
+default and requires an ultraviolet cutoff.  ``BathSpec.kernel`` is
+validated but selects nothing.
+
+The generator reads the table at its Bohr frequencies and drops every
+frequency at or below the Bohr set's ``match_tol``, ``w = 0`` included, so
+the finite ``w -> 0+`` limit of the rates (``8*pi**2/beta`` under the
+``paper`` density, 0 under ``physical``) gives no channel: no pure
+dephasing, and an energy-neutral spin flip has rate exactly 0.
 
 The table is a stack over the whole frequency array: form factors, weights
 and delta shells are evaluated on all open-shell frequencies at once, and
@@ -68,7 +75,7 @@ __all__ = [
 
 
 class BathConfigurationError(ValueError):
-    """Inconsistent reservoir specification (bad kernel/flag combination)."""
+    """Inconsistent reservoir specification (bad option or flag combination)."""
 
 
 class BathDomainError(ValueError):
@@ -81,9 +88,10 @@ class BathSpec:
 
     Attributes:
         beta: inverse temperature; ``math.inf`` means the vacuum state.
-        kernel: ``"analytic"`` for the closed-form linear-dispersion kernel,
-            ``"quadrature"`` for tabulated/quadrature evaluation (required
-            for level shifts).
+        kernel: ``"analytic"`` or ``"quadrature"``; validated and kept for
+            configurations that name it, but it selects nothing: every
+            kernel takes the same closed-form rates and, with
+            ``lamb_shift``, the same principal-value shifts.
         dos: mode-density convention, ``"paper"`` (4*pi*w) or ``"physical"``
             (4*pi*w**2).
         form_factors: radial coupling profiles g_i(rho), one per coupling;
@@ -118,11 +126,8 @@ class BathSpec:
             raise BathConfigurationError(f"unknown dos convention {self.dos!r}")
         if self.filter_max is not None and not self.filter_max > 0:
             raise BathConfigurationError(f"filter_max must be positive, got {self.filter_max}")
-        if self.lamb_shift:
-            if self.kernel != "quadrature":
-                raise BathConfigurationError("lamb_shift requires the quadrature kernel")
-            if self.uv_cutoff is None:
-                raise BathConfigurationError("lamb_shift requires a finite uv_cutoff")
+        if self.lamb_shift and self.uv_cutoff is None:
+            raise BathConfigurationError("lamb_shift requires a finite uv_cutoff")
         if self.uv_cutoff is not None and not 0 < self.uv_cutoff < math.inf:
             raise BathConfigurationError(
                 f"uv_cutoff must be positive and finite, got {self.uv_cutoff}"
@@ -318,11 +323,9 @@ def high_temperature_limit(bath: BathSpec, omega: float) -> float:
     """Classical limit of both damping rates: ``4*pi**2 / beta``.
 
     For ``beta*omega -> 0`` the emission and absorption real parts approach
-    this common value (flat form factor, analytic kernel).  Reference value
-    for limit checks; requires a finite temperature.
+    this common value (flat form factor, ``paper`` density).  Reference
+    value for limit checks; requires a finite temperature.
     """
-    if bath.kernel != "analytic":
-        raise BathConfigurationError("high_temperature_limit is defined for the analytic kernel")
     if bath.beta == math.inf:
         raise BathDomainError("high-temperature limit undefined at zero temperature")
     return 4.0 * math.pi**2 / bath.beta
@@ -489,8 +492,6 @@ def principal_value_integral(f: Callable, a: float, b: float, pole, nodes=()):
 def _shift_pass(bath: BathSpec, omega, pairs: list, branches: tuple) -> np.ndarray:
     """The shift constants of :func:`pv_lamb_shift` of ``branches`` x ``pairs``: one
     principal-value pass over the stacked numerators, each form factor evaluated once."""
-    if bath.kernel != "quadrature":
-        raise BathConfigurationError("level shifts require the quadrature kernel")
     if bath.uv_cutoff is None:
         raise BathConfigurationError("level shifts require a finite uv_cutoff")
     omegas = np.asarray(omega, dtype=float)

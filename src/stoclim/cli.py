@@ -4,7 +4,11 @@ Subcommands: ``spectrum`` (levels, transition frequencies, genericity),
 ``rates`` (reservoir constant tables), ``generator`` (structured export
 plus optional dense binary), ``evolve`` (trajectory CSV), ``glauber``
 (spin-chain kinetics in classical or quantum mode), and ``check``
-(invariant suites).  Exit codes: 0 success, 1 check failure, 2
+(invariant suites).  Every config, explicit Hamiltonian or spin shorthand,
+goes through one pipeline, :func:`_pipeline` (spectrum, Bohr set, reservoir
+table), which ``spectrum``, ``rates``, ``generator``, ``evolve`` and the
+``check`` suites read: ``rates`` prints the table the generator is built
+from.  Exit codes: 0 success, 1 check failure, 2
 configuration error, 3 numerical failure (an integration or null-space
 solve that lost accuracy).
 
@@ -48,13 +52,15 @@ from .generator import (
 )
 from .glauber import (
     SpinChainSpec,
+    _check_form_factors,
+    _site_table,
     classical_glauber_generator,
     configuration_energies,
     configuration_magnetizations,
     n_scaling_experiment,
     quantum_glauber_generator,
 )
-from .operators import bohr_frequencies, dag, spectral_decompose
+from .operators import bohr_frequencies, dag
 
 __all__ = ["main"]
 
@@ -109,14 +115,33 @@ def _require_config(args) -> RunConfig:
     return cfg
 
 
+def _pipeline(cfg: RunConfig, tabulate: bool = True) -> tuple:
+    """A config's spectrum, couplings, Bohr set and reservoir table, the steps
+    every command reads (``spectrum`` stops before the table and needs no
+    bath).  An explicit system has one shared reservoir; the spin shorthand
+    gives each site its own (:func:`~stoclim.glauber._site_table`), the table
+    ``glauber --mode quantum`` builds its generator from too."""
+    bath = cfg.require_bath() if tabulate else None
+    if bath is not None and cfg.spin is not None:
+        # before the dense cap, as in quantum_glauber_generator
+        _check_form_factors(cfg.spin, bath)
+    spec, couplings = cfg.system()
+    bohr = bohr_frequencies(spec)
+    if bath is None:
+        table = None
+    elif cfg.spin is not None:
+        table = _site_table(cfg.spin, bath, bohr)
+    else:
+        table = correlation_table(bath, bohr, n_couplings=max(1, len(couplings)))
+    return spec, couplings, bohr, table
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _require_config(args)
-    spec, _ = cfg.system()
-    bohr = bohr_frequencies(spec)
+    spec, _, bohr, _ = _pipeline(_require_config(args), tabulate=False)
     report = genericity_check(spec, bohr)
     if args.json:
         doc = {
@@ -154,12 +179,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    cfg = _require_config(args)
-    spec, couplings = cfg.system()
-    bath = cfg.require_bath()
-    bohr = bohr_frequencies(spec)
-    n = max(1, len(couplings))
-    table = correlation_table(bath, bohr, n_couplings=n)
+    table = _pipeline(_require_config(args))[3]
+    n = table.minus.shape[1]
     if args.json:
         doc = {
             "frequencies": [float(w) for w in table.frequencies],
@@ -180,20 +201,10 @@ def cmd_rates(args) -> int:
 # generator
 
 
-def _generator(spec, couplings, bath: BathSpec):
-    """Spectrum -> Bohr frequencies -> reservoir table -> generator."""
-    bohr = bohr_frequencies(spec)
-    table = correlation_table(bath, bohr, n_couplings=max(1, len(couplings)))
-    return build_generator(spec, couplings, table, bohr)
-
-
 def _build_from_config(cfg: RunConfig):
-    """Generator for a config: per-site reservoirs for the spin shorthand,
-    one shared reservoir for an explicit system."""
-    bath = cfg.require_bath()
-    if cfg.spin is not None:
-        return quantum_glauber_generator(cfg.spin, bath)
-    return _generator(*cfg.system(), bath)
+    """Generator for a config: the last step of its :func:`_pipeline`."""
+    spec, couplings, bohr, table = _pipeline(cfg)
+    return build_generator(spec, couplings, table, bohr)
 
 
 def cmd_generator(args) -> int:
@@ -311,9 +322,8 @@ def cmd_glauber(args) -> int:
         rho0 = np.zeros((cs.dim, cs.dim), dtype=complex)
         rho0[idx, idx] = 1.0
         states = evolve(gen, rho0, times).states
-        diag = np.diagonal(states, axis1=1, axis2=2)
-        pops = np.real(diag)
-        l1 = np.abs(states).sum(axis=(1, 2)) - np.abs(diag).sum(axis=1)
+        pops = np.real(np.diagonal(states, axis1=1, axis2=2))
+        l1 = np.abs(states[:, ~np.eye(cs.dim, dtype=bool)]).sum(axis=1)
         header = ["t", "magnetization", "energy", "offdiag_l1"]
         table = [(t, mags @ p, energies @ p, c) for t, p, c in zip(times, pops, l1)]
     _write_csv(args, header, table)
@@ -381,16 +391,12 @@ def _suite_detailed_balance(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     return passed, report
 
 
-def _leibniz_system(cfg: RunConfig | None):
-    if cfg is not None:
-        return _build_from_config(cfg)
-    h = np.diag([0.0, 1.0]).astype(complex)
-    d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return _generator(spectral_decompose(h), [d], BathSpec(beta=1.0))
-
-
 def _suite_leibniz(cfg: RunConfig | None, args) -> tuple[bool, dict]:
-    gen = _leibniz_system(cfg)
+    if cfg is None:
+        h = np.diag([0.0, 1.0]).astype(complex)
+        d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        cfg = RunConfig(h, [d], cluster_tol=None, spin=None, bath=BathSpec(beta=1.0), run={})
+    gen = _build_from_config(cfg)
     maps = StructureMapSet(gen)
     rng = np.random.default_rng(416)
     d = gen.dim
@@ -449,11 +455,11 @@ def _suite_coherence_control(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     h = np.diag([0.0, 0.7, 5.0]).astype(complex)
     d_op = np.ones((3, 3), dtype=complex) - np.eye(3)
     beta = 1.0
-    spec = spectral_decompose(h)
     filtered = BathSpec(
         beta=beta, filter_max=2.0, spontaneous_emission=False
     )
-    gen_f = _generator(spec, [d_op], filtered)
+    cfg = RunConfig(h, [d_op], cluster_tol=None, spin=None, bath=filtered, run={})
+    gen_f = _build_from_config(cfg)
     k = diagonal_restriction(gen_f)._triples
     intra_rate = float(-k.data[k.row == k.col].min(initial=0.0))
     horizon = 100.0 / intra_rate
@@ -467,7 +473,7 @@ def _suite_coherence_control(cfg: RunConfig | None, args) -> tuple[bool, dict]:
     settle = float(abs(pops[-1, 0] - pops[-1, 1]))
     thermalized = moved > 1e-3 and settle <= 1e-10
     open_bath = BathSpec(beta=beta)
-    gen_o = _generator(spec, [d_op], open_bath)
+    gen_o = _build_from_config(dataclasses.replace(cfg, bath=open_bath))
     expected = emission_rate(open_bath, 5.0) + emission_rate(open_bath, 4.3)
     k = diagonal_restriction(gen_o)._triples
     outflow = float(-k.data[(k.row == 2) & (k.col == 2)].sum())

@@ -3,6 +3,8 @@
 One file describes a run: a system block -- either an explicit Hamiltonian
 with its coupling operators, or the spin-chain shorthand -- plus an
 optional reservoir block and an optional run block of command defaults.
+The spin shorthand implies its couplings and is not clustered, so
+``couplings`` and ``cluster_tol`` are refused next to it.
 
 Complex matrices are nested lists whose entries are [re, im] pairs; plain
 numbers are accepted for real entries.  Form factors and non-thermal mode
@@ -88,9 +90,9 @@ class RunConfig:
         """Spectral data and coupling operators of the configured system."""
         if self.spin is not None:
             h, couplings = ising_system(self.spin)
-            return spectral_decompose(h, self.cluster_tol), couplings
-        spec = spectral_decompose(self.hamiltonian, self.cluster_tol)
-        return spec, list(self.couplings)
+        else:
+            h, couplings = self.hamiltonian, list(self.couplings)
+        return spectral_decompose(h, self.cluster_tol), couplings
 
     def require_bath(self) -> BathSpec:
         if self.bath is None:
@@ -302,11 +304,10 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"couplings[{k}]: {exc}") from exc
     else:
-        if "couplings" in doc:
-            raise ConfigError(
-                "couplings: not allowed with the spin shorthand "
-                "(sigma^x couplings are implied)"
-            )
+        for key, why in (("couplings", "sigma^x couplings are implied"),
+                         ("cluster_tol", "its levels are not clustered")):
+            if key in doc:
+                raise ConfigError(f"{key}: not allowed with the spin shorthand ({why})")
         spin = _parse_spin(doc["spin"], "spin")
     bath = _parse_bath(doc["bath"], "bath", base_dir) if "bath" in doc else None
     run = doc.get("run", {})

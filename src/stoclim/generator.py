@@ -1,11 +1,14 @@
 """Markovian generator of the reduced dynamics, in both pictures.
 
-The generator is a sum over channels: each positive transition
-frequency w carries lowering operators ``A_j = E_w(D_j)`` (one per system
-coupling ``D_j``), an emission rate matrix ``gamma_minus`` and an absorption
-rate matrix ``gamma_plus`` over coupling indices, plus a Hermitian shift
-Hamiltonian collected from the imaginary reservoir constants of every
-frequency.  In the Heisenberg picture::
+The generator is a sum over channels: each transition frequency w above
+the Bohr set's ``match_tol`` carries lowering operators ``A_j = E_w(D_j)``
+(one per system coupling ``D_j``), an emission rate matrix ``gamma_minus``
+and an absorption rate matrix ``gamma_plus`` over coupling indices, plus a
+Hermitian shift Hamiltonian collected from the imaginary reservoir
+constants of every frequency.  Frequencies at or below ``match_tol``, ``w = 0`` included, carry
+no channel, so a coupling diagonal in the eigenbasis adds no pure dephasing
+(the ``w -> 0+`` limit of the rates is dropped; see :mod:`stoclim.bath`).
+In the Heisenberg picture::
 
     L(X) = i[H_shift, X]
          + sum_w sum_ij gamma_minus[i,j] (A_i^dag X A_j - {A_i^dag A_j, X}/2)
@@ -344,7 +347,8 @@ def build_generator(
     eigenbasis entry of a coupling belongs to.  A negative or non-finite
     rate matrix raises :class:`BathDomainError` naming the lowest such
     frequency (emission first).  A channel is a frequency above
-    ``match_tol`` with a non-zero rate and a non-vanishing component.
+    ``match_tol`` with a non-zero rate and a non-vanishing component: the
+    frequencies at or below it, 0 included, are dropped.
     """
     if bohr is None:
         bohr = bohr_frequencies(spec)

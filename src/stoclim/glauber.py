@@ -10,18 +10,22 @@ detailed balance at the reservoir temperature.
 Two routes are provided and agree where they overlap: a purely classical
 jump process over the 2^n configurations (no Hilbert-space objects, works
 past the dense dimension cap) and the full quantum generator obtained by
-frequency decomposition of the sigma^x couplings.  The rate of flipping
-site r depends only on r and the spins (s_{r-1}, s_r, s_{r+1}), so the
-classical route holds its rate matrix as an n x 8 local flip-rate table:
-the solvers ask it for the columns they need, and the full 2^n-state
-matrix is assembled only when it is read.  That route builds no (2^n x n)
-spin table: it reads each configuration as its basis index, whose bits are
-the spins, so the table comes from the 8 settings of each site's
-neighbourhood, the reflection and rotation images of the indices from
-shifts and masks, and the energies, on first read, from the bits of each
-bond.  A flip whose neighbours
-cancel (e_{r-1} = -e_{r+1}) is energy-neutral and has exactly zero rate;
-on rings whose length is a multiple of four this freezes the period-four
+frequency decomposition of the sigma^x couplings: the general pipeline on
+:func:`ising_system`, each site with its own reservoir copy
+(:func:`_site_table`, the table ``stoclim rates`` prints for the spin
+shorthand).  The rate of flipping site r depends only on r and the spins
+(s_{r-1}, s_r, s_{r+1}), so the classical route holds its rate matrix as
+an n x 8 local flip-rate table: the solvers ask it for the columns they
+need, and the full 2^n-state matrix is assembled only when it is read.
+That route builds no (2^n x n) spin table: it reads each configuration as
+its basis index, whose bits are the spins, so the table comes from the 8
+settings of each site's neighbourhood, the reflection and rotation images
+of the indices from shifts and masks, and the energies, on first read,
+from the bits of each bond.  A flip whose neighbours cancel
+(e_{r-1} = -e_{r+1}) is energy-neutral and has exactly zero rate, as the
+generator drops the frequency 0 (under the default density the rate of a
+flip releasing w tends to 8 pi^2 / beta as w -> 0+, not to 0); on rings
+whose length is a multiple of four this freezes the period-four
 configuration ++-- completely, while the strictly alternating pattern
 +-+- has every flip downhill and relaxes fast.
 
@@ -56,6 +60,7 @@ from .evolution import ClassicalKineticSystem, _RATE_TOL
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
     MAX_DIMENSION,
+    BohrSet,
     bohr_frequencies,
     matrix_unit,
     spectral_decompose,
@@ -565,33 +570,36 @@ def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:
     return out
 
 
-def quantum_glauber_generator(
-    cs: SpinChainSpec, bath: BathSpec, independent_sites: bool = True
-) -> Generator:
+def _site_table(cs: SpinChainSpec, bath: BathSpec, bohr: BohrSet) -> CorrelationTable:
+    """Reservoir table of the chain's sigma^x couplings on a Bohr set, each site
+    with its own reservoir copy: the constants between two different sites
+    are 0, the others those of :func:`~stoclim.bath.correlation_table`."""
+    table = correlation_table(bath, bohr, n_couplings=cs.n_sites)
+    own = np.eye(cs.n_sites, dtype=bool)
+    return CorrelationTable(
+        table.frequencies,
+        np.where(own, table.minus, 0.0),
+        np.where(own, table.plus, 0.0),
+        table.match_tol,
+    )
+
+
+def quantum_glauber_generator(cs: SpinChainSpec, bath: BathSpec) -> Generator:
     """Full quantum generator of the dissipative chain.
 
-    With ``independent_sites`` (the default) each site talks to its own
-    reservoir copy: cross-site entries of the rate tables are dropped and
-    the population block reproduces the classical kinetics exactly.  With
-    a single shared reservoir the cross terms survive; distinct
-    equal-energy configurations then share collective channels, and
-    coherences between them relax at population-like speed instead of the
-    closed-form pair rate.
+    The general pipeline on :func:`ising_system`, with each site talking to
+    its own reservoir copy (:func:`_site_table`): the population block then
+    reproduces the classical kinetics exactly.  The chain with one shared
+    reservoir is the general pipeline with :func:`correlation_table` as it
+    is; its cross terms survive, distinct equal-energy configurations share
+    collective channels, and coherences between them relax at
+    population-like speed instead of the closed-form pair rate.
     """
     _check_form_factors(cs, bath)
     h, couplings = ising_system(cs)
     spec = spectral_decompose(h)
     bohr = bohr_frequencies(spec)
-    table = correlation_table(bath, bohr, n_couplings=cs.n_sites)
-    if independent_sites:
-        own = np.eye(cs.n_sites, dtype=bool)
-        table = CorrelationTable(
-            frequencies=table.frequencies,
-            minus=np.where(own, table.minus, 0.0),
-            plus=np.where(own, table.plus, 0.0),
-            match_tol=table.match_tol,
-        )
-    return build_generator(spec, couplings, table, bohr)
+    return build_generator(spec, couplings, _site_table(cs, bath, bohr), bohr)
 
 
 def pair_decay_coefficient(gen: Generator, mu: int, nu: int) -> complex:

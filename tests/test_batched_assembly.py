@@ -236,13 +236,16 @@ def test_degenerate_ring_matches_the_frequency_loop(independent_sites):
     bohr = bohr_frequencies(spec)
     assert spec.n_levels < spec.dim
     cs = SpinChainSpec(n_sites=4, coupling=1.0, boundary="periodic")
-    gen = quantum_glauber_generator(cs, bath, independent_sites=independent_sites)
     table = correlation_table(bath, bohr, len(couplings))
     if independent_sites:
+        gen = quantum_glauber_generator(cs, bath)
         own = np.eye(len(couplings), dtype=bool)
         table = CorrelationTable(
             table.frequencies, table.minus * own, table.plus * own, table.match_tol
         )
+    else:
+        # one shared reservoir: the general pipeline on the chain's system
+        gen = build_generator(spec, couplings, table, bohr)
     assert_generator_matches(gen, spec, couplings, table, bohr)
 
 

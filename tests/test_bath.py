@@ -210,8 +210,30 @@ def test_principal_value_integral_oracles():
 
 
 def test_level_shift_needs_quadrature_kernel():
+    # the kernel selects nothing; the default bath has no uv_cutoff
     with pytest.raises(BathConfigurationError):
         pv_lamb_shift(BathSpec(beta=1.0), 1.0)
+
+
+def test_kernel_selects_nothing():
+    # both kernels take the same rates and principal values; neither gates
+    # level shifts or the high-temperature limit
+    spec = spectral_decompose(np.diag([0.0, 0.4, 1.1, 2.5]).astype(complex))
+    bohr = bohr_frequencies(spec)
+    tables = [
+        correlation_table(
+            BathSpec(beta=0.7, kernel=kernel, uv_cutoff=20.0, lamb_shift=True), bohr, 2
+        )
+        for kernel in ("analytic", "quadrature")
+    ]
+    assert np.abs(tables[0].minus.imag).max() > 0.0
+    for a, b in zip(tables[0].__dict__.values(), tables[1].__dict__.values()):
+        assert np.array_equal(a, b)
+    shifts = [pv_lamb_shift(BathSpec(beta=1.0, kernel=k, uv_cutoff=20.0), 1.0)
+              for k in ("analytic", "quadrature")]
+    assert shifts[0] == shifts[1]
+    for kernel in ("analytic", "quadrature"):
+        assert high_temperature_limit(BathSpec(beta=0.5, kernel=kernel), 1e-3) == 8.0 * math.pi**2
 
 
 def test_level_shift_finite_inside_band():

@@ -18,6 +18,7 @@ from stoclim import (
     classical_glauber_generator,
     correlation_table,
     evolve,
+    ising_system,
     quantum_glauber_generator,
     spectral_decompose,
     stationary_state,
@@ -63,7 +64,11 @@ def generators():
     for n in (4, 5):
         cs = SpinChainSpec(n_sites=n, coupling=1.0, boundary="periodic")
         for independent in (True, False):
-            gen = quantum_glauber_generator(cs, BathSpec(beta=1.0), independent)
+            if independent:
+                gen = quantum_glauber_generator(cs, BathSpec(beta=1.0))
+            else:
+                # one shared reservoir: the general pipeline on the chain's system
+                gen = make_generator(*ising_system(cs), BathSpec(beta=1.0))
             yield pytest.param(gen, id=f"{n}-ring-independent-{independent}")
     yield pytest.param(rotated_generic(), id="d17-rotated-lamb")
 

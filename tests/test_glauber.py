@@ -11,10 +11,13 @@ from stoclim import (
     SpinChainSpec,
     absorption_rate,
     blocked_configuration,
+    bohr_frequencies,
+    build_generator,
     classical_glauber_generator,
     configuration_energies,
     configuration_energy,
     configuration_index,
+    correlation_table,
     e_omega,
     emission_rate,
     energy_release,
@@ -346,7 +349,11 @@ def test_shared_bath_modes_keep_invariants():
     # rate entries but must stay trace preserving and thermal
     bath = BathSpec(beta=1.0)
     cs = SpinChainSpec(n_sites=3, coupling=1.0, boundary="periodic")
-    gen = quantum_glauber_generator(cs, bath, independent_sites=False)
+    # one shared reservoir: the general pipeline on the chain's system
+    h, couplings = ising_system(cs)
+    spec = spectral_decompose(h)
+    bohr = bohr_frequencies(spec)
+    gen = build_generator(spec, couplings, correlation_table(bath, bohr, cs.n_sites), bohr)
     got_cross = any(
         np.abs(ch.gamma_minus - np.diag(np.diag(ch.gamma_minus))).max() > 0.0
         for ch in gen.channels
@@ -427,6 +434,29 @@ def test_classical_route_builds_no_spin_table(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert len(cks16.symmetries) == 2
     assert peak <= 4 * 2**16 * np.dtype(np.int64).itemsize
+
+
+@pytest.mark.parametrize("sites,boundary,start", [(6, "periodic", 0), (4, "open", 5)])
+def test_offdiag_l1_is_the_sum_of_the_off_diagonal_moduli(sites, boundary, start, tmp_path):
+    # the column used to be the difference of two sums, which rounding made
+    # as low as -2.2e-16 on the 6-ring
+    from stoclim import cli
+
+    out = tmp_path / "ring.csv"
+    code = cli.main(["glauber", "--sites", str(sites), "--boundary", boundary, "--beta", "1",
+                     "--mode", "quantum", "--t-max", "10", "--points", "41",
+                     "--initial-configuration", str(start), "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[-1] == "offdiag_l1"
+    l1 = np.array([float(line.split(",")[-1]) for line in lines[1:]])
+    cs = SpinChainSpec(n_sites=sites, coupling=1.0, boundary=boundary)
+    rho0 = np.zeros((cs.dim, cs.dim), dtype=complex)
+    rho0[start, start] = 1.0
+    states = evolve(quantum_glauber_generator(cs, BathSpec(beta=1.0)), rho0,
+                    np.linspace(0.0, 10.0, 41)).states
+    assert (l1 >= 0.0).all()
+    assert np.array_equal(l1, np.abs(states[:, ~np.eye(cs.dim, dtype=bool)]).sum(axis=1))
 
 
 def test_classical_site_cap():
