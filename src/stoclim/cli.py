@@ -434,6 +434,13 @@ def _suite_scaling(cfg: RunConfig | None, args) -> tuple[bool, dict]:
         sizes = [2, 3, 4, 5, 6] if args.sizes is None else [int(s) for s in args.sizes.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--sizes wants comma-separated ring sizes, got {args.sizes!r}") from exc
+    nf = bath.n_form_factors()
+    if nf is not None:
+        # a ring takes one form factor per site, so no one list fits every size
+        raise ConfigError(
+            f"--suite scaling builds rings of sizes {', '.join(map(str, sizes))} on the "
+            f"config's bath, which has {nf} form factors; give a bath without form factors"
+        )
     result = n_scaling_experiment(sizes, bath)
     passed = result.r_squared >= 0.999
     return passed, {

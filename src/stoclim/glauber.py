@@ -59,8 +59,8 @@ from .bath import (
 from .evolution import ClassicalKineticSystem, _RATE_TOL
 from .generator import Generator, apply_adjoint, build_generator
 from .operators import (
-    MAX_DIMENSION,
     BohrSet,
+    _check_dimension,
     bohr_frequencies,
     matrix_unit,
     spectral_decompose,
@@ -257,10 +257,11 @@ def configuration_energies(cs: SpinChainSpec) -> np.ndarray:
 def _energies(n_sites: int, bonds) -> np.ndarray:
     """:func:`configuration_energies` from ((a, b), J) per bond."""
     configs = np.arange(_n_configurations(n_sites))
+    # bit n-1-b is s_b xor s_{b-1}: set where bond (b-1, b) is a domain wall
+    walls = configs ^ _rotated(n_sites)
     e = np.zeros(len(configs))
-    for (a, b), j in bonds:
-        apart = ((configs >> (n_sites - 1 - a)) ^ (configs >> (n_sites - 1 - b))) & 1
-        e -= j * (1 - 2 * apart)
+    for (_, b), j in bonds:
+        e -= np.where(walls & (1 << (n_sites - 1 - b)), -j, j)
     return e
 
 
@@ -376,11 +377,7 @@ def ising_system(cs: SpinChainSpec) -> tuple[np.ndarray, list]:
     configuration_energies in the configuration basis, and one coupling
     operator per site, sigma^x at that site.
     """
-    d = cs.dim
-    if d > MAX_DIMENSION:
-        raise ValueError(
-            f"dimension {d} exceeds the dense cap {MAX_DIMENSION}"
-        )
+    _check_dimension(cs.dim)
     n = cs.n_sites
     couplings = [_site_operator(_PAULI_X, r, n) for r in range(n)]
     return np.diag(configuration_energies(cs)), couplings
@@ -557,8 +554,7 @@ def local_e_omega(cs: SpinChainSpec, r: int, omega: float) -> np.ndarray:
     spectral route applied to the sigma^x coupling.
     """
     d = cs.dim
-    if d > MAX_DIMENSION:
-        raise ValueError(f"dimension {d} exceeds the dense cap {MAX_DIMENSION}")
+    _check_dimension(d)
     cs._check_site(r)
     n = cs.n_sites
     scale = max([1.0] + [abs(j) for j in cs.coupling])

@@ -65,6 +65,12 @@ def matrix_unit(dim: int, mu: int, nu: int) -> np.ndarray:
     return out
 
 
+def _check_dimension(d: int) -> None:
+    """``ValueError`` when ``d`` exceeds :data:`MAX_DIMENSION`."""
+    if d > MAX_DIMENSION:
+        raise ValueError(f"dimension {d} exceeds the dense cap {MAX_DIMENSION}")
+
+
 def validate_hermitian(mat: np.ndarray) -> np.ndarray:
     """Check that ``mat`` is a square, finite, Hermitian matrix.
 
@@ -75,10 +81,7 @@ def validate_hermitian(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] > MAX_DIMENSION:
-        raise ValueError(
-            f"dimension {mat.shape[0]} exceeds the supported cap {MAX_DIMENSION}"
-        )
+    _check_dimension(mat.shape[0])
     if not np.isfinite(mat).all():
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(mat))[0])
         raise ValueError(f"matrix entry {idx} is {mat[idx]}: entries must be finite")
@@ -163,11 +166,9 @@ def spectral_decompose(
     if cluster_tol is None:
         cluster_tol = max(DEFAULT_CLUSTER_SCALE * spread, 1e-12)
 
-    # cluster sorted eigenvalues by gap
+    # a gap wider than cluster_tol starts a new level
     level_of_column = np.zeros(len(vals), dtype=int)
-    for i in range(1, len(vals)):
-        same = (vals[i] - vals[i - 1]) <= cluster_tol
-        level_of_column[i] = level_of_column[i - 1] + (0 if same else 1)
+    np.cumsum(vals[1:] - vals[:-1] > cluster_tol, out=level_of_column[1:])
 
     energies = [
         float(np.mean(vals[level_of_column == lev]))
@@ -226,7 +227,18 @@ def _cluster_starts(xs: np.ndarray, tol: float) -> np.ndarray:
 
 
 def bohr_frequencies(spec: SpectralData) -> BohrSet:
-    """All level differences of ``spec``, with their realising level pairs."""
+    """All level differences of ``spec``, with their realising level pairs.
+
+    The sorted differences are clustered as :func:`_cluster_starts` says, and
+    each cluster's first value is its frequency ``w_k``; every difference is
+    labelled once, with its cluster.  ``pairs[k]`` holds the pairs whose
+    difference lies within ``match_tol`` of ``w_k``: cluster ``k`` and its
+    lower fringe, the members of cluster ``k - 1`` within ``match_tol`` below
+    ``w_k``.  No other difference reaches ``w_k``, in floating point too:
+    cluster ``k`` lies within ``match_tol`` above ``w_k``, consecutive
+    frequencies are more than ``match_tol`` apart, and rounded subtraction
+    is monotone.  A fringe pair is listed under two frequencies.
+    """
     en = spec.energies
     n = len(en)
     tol = spec.match_tol
@@ -235,25 +247,14 @@ def bohr_frequencies(spec: SpectralData) -> BohrSet:
     xs = diffs[order]
     starts = _cluster_starts(xs, tol)
     freqs = xs[starts]
-    # the pairs within tol of w are a run of the sorted differences around w's
-    # cluster; searchsorted finds its ends up to the rounding of w -+ tol, and
-    # unit steps make them exact, |x - w| being monotone on each side of w
-    def near(i):
-        return np.abs(xs[np.clip(i, 0, len(xs) - 1)] - freqs) <= tol
-
-    lo = np.minimum(np.searchsorted(xs, freqs - tol), starts)
-    hi = np.maximum(np.searchsorted(xs, freqs + tol, "right"), np.append(starts[1:], len(xs)))
-    while True:
-        down = np.where((lo > 0) & near(lo - 1), -1, np.where(near(lo), 0, 1))
-        up = np.where((hi < len(xs)) & near(hi), 1, np.where(near(hi - 1), 0, -1))
-        if not (down.any() or up.any()):
-            break
-        lo, hi = lo + down, hi + up
-    counts = hi - lo
-    owner = np.repeat(np.arange(len(freqs)), counts)
-    pos = order[np.arange(len(owner)) + np.repeat(hi - np.cumsum(counts), counts)]
+    # every difference joins its cluster, and the next one's fringe
+    label = np.cumsum(np.bincount(starts, minlength=len(xs))) - 1
+    fringe = np.append(freqs[1:], np.inf)[label] - xs <= tol
+    owner = np.concatenate([label, label[fringe] + 1])
+    pos = np.concatenate([order, order[fringe]])
     src, tgt = np.divmod(pos[np.lexsort((pos, owner))], n)
-    flat, bounds = list(zip(tgt.tolist(), src.tolist())), np.cumsum(counts).tolist()
+    flat = list(zip(tgt.tolist(), src.tolist()))
+    bounds = np.cumsum(np.bincount(owner, minlength=len(freqs))).tolist()
     pairs = tuple(tuple(flat[a:b]) for a, b in zip([0, *bounds], bounds))
     return BohrSet(frequencies=freqs, pairs=pairs, match_tol=tol)
 
@@ -295,8 +296,11 @@ def frequency_index(spec: SpectralData, bohr: BohrSet) -> np.ndarray:
     Entry ``[a, b]`` gets the first ``k`` for which
     ``frequency_mask(spec, bohr.frequencies[k])`` keeps it, so the component
     at ``bohr.frequencies[k]`` is the coupling masked by ``== k``.  For the
-    Bohr set of ``spec`` every entry has one, and no other mask keeps it
-    unless two Bohr frequencies lie within twice ``match_tol``.
+    Bohr set of ``spec`` every entry has one: the cluster its level
+    difference is labelled with in :func:`bohr_frequencies`.  The mask of
+    ``k + 1`` keeps the entry too when its level pair lies in the lower
+    fringe of ``k + 1``, and no other mask does; it is filed under ``k``
+    alone.
     """
     return _first_within(bohr.frequencies, _gaps(spec), spec.match_tol)
 

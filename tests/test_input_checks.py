@@ -304,6 +304,28 @@ def test_cli_scaling_with_one_size_exits_2(capsys):
     assert "two distinct ring sizes" in out.err
 
 
+def test_cli_scaling_refuses_a_bath_with_form_factors(tmp_path, capsys):
+    # the suite's rings take one form factor per site, so no list fits them all
+    for k in range(3):
+        (tmp_path / f"g{k}.csv").write_text("0,1\n10,1\n")
+    doc = {
+        "spin": {"sites": 3, "J": 1.0, "boundary": "open"},
+        "bath": {"beta": 1.0, "form_factors": ["g0.csv", "g1.csv", "g2.csv"]},
+    }
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps(doc))
+    for sizes, named in (([], "2, 3, 4, 5, 6"), (["--sizes", "3,4"], "3, 4")):
+        code = cli.main(["check", "--suite", "scaling", *sizes, "--config", str(path)])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err.startswith("config error: --suite scaling ")
+        assert f"sizes {named} " in out.err and "3 form factors" in out.err
+    del doc["bath"]["form_factors"]
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check", "--suite", "scaling", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "args, flag",
     [

@@ -11,7 +11,9 @@ from stoclim import (
     matrix_unit,
     spectral_decompose,
 )
-from stoclim.operators import MAX_DIMENSION, dag, validate_hermitian
+from stoclim import glauber
+from stoclim.glauber import SpinChainSpec, ising_system, local_e_omega
+from stoclim.operators import MAX_DIMENSION, dag, frequency_index, validate_hermitian
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -79,6 +81,21 @@ def test_cluster_tol_override():
 def test_dimension_cap():
     with pytest.raises(ValueError):
         spectral_decompose(np.eye(MAX_DIMENSION + 1, dtype=complex))
+
+
+def test_every_dense_route_refuses_past_the_cap_with_one_message(monkeypatch):
+    cs = SpinChainSpec(n_sites=7, coupling=1.0, boundary="periodic")
+    # the chain's couplings must not be built before the refusal
+    monkeypatch.setattr(glauber, "_site_operator", None)
+    routes = (
+        lambda: validate_hermitian(np.eye(2**7)),
+        lambda: ising_system(cs),
+        lambda: local_e_omega(cs, 0, 2.0),
+    )
+    for route in routes:
+        with pytest.raises(ValueError) as info:
+            route()
+        assert str(info.value) == f"dimension 128 exceeds the dense cap {MAX_DIMENSION}"
 
 
 def test_non_hermitian_rejected():
@@ -308,3 +325,29 @@ def test_frequency_set_matches_pairwise_loop_on_a_seeded_scan():
         wide += len(freqs) > np.count_nonzero(np.diff(diffs) > spec.match_tol) + 1
     assert wide >= 5
 
+
+def test_frequency_index_files_each_entry_under_a_bohr_pair():
+    # the generator gives each eigenbasis entry to the channel frequency_index
+    # names, so that frequency must list the entry's level pair; a pair listed
+    # twice is in cluster k and in the lower fringe of k + 1
+    tol = 1e-9
+    fringed = [(np.array([0.0, 1.0, 2.0 + 0.9 * tol, 3.0 + 2.7 * tol]), tol)]
+    doubles = 0
+    for energies, tol in [*fringed, *scan_ladders(np.random.default_rng(2207), 60)]:
+        spec = spectral_decompose(np.diag(energies).astype(complex), cluster_tol=tol)
+        bohr = bohr_frequencies(spec)
+        w, lev = bohr.frequencies, spec.level_of_column
+        for (a, b), k in np.ndenumerate(frequency_index(spec, bohr)):
+            assert k >= 0 and (lev[a], lev[b]) in bohr.pairs[k]
+        listed = {}
+        for k, pairs in enumerate(bohr.pairs):
+            for pair in pairs:
+                listed.setdefault(pair, []).append(k)
+        for (tgt, src), ks in listed.items():
+            x = spec.energies[src] - spec.energies[tgt]
+            assert len(ks) in (1, 2)
+            if len(ks) == 2:
+                doubles += 1
+                assert ks[1] == ks[0] + 1
+                assert w[ks[0]] <= x < w[ks[1]] and w[ks[1]] - x <= spec.match_tol
+    assert doubles >= 2
