@@ -348,7 +348,7 @@ def _elementwise(f: Callable, x):
 # the rule of the module docstring; at most _MAX_CELLS cells of one pole are
 # bisected at once, and the poles are taken in chunks of about _CHUNK_NODES nodes
 _ORDERS, _GROWTH, _FINEST, _RTOL = (20, 14), 6.0, 1e-6, 1e-12
-_MAX_ROUNDS, _MAX_CELLS, _CHUNK_NODES = 100, 1000, 2**15
+_MAX_ROUNDS, _MAX_CELLS, _CHUNK_NODES = 100, 1000, 2**17
 
 
 class _PoleError(BathDomainError):
@@ -388,7 +388,7 @@ def _unresolved(pole: float, inside: bool, lo: np.ndarray, hi: np.ndarray) -> st
 
 def _principal_values(f: Callable, a: float, b: float, poles: np.ndarray, nodes: tuple):
     """The rule on ``f(x)/(x - pole)`` for the 1-d ``poles`` (chunks of about
-    2**15 rule nodes) and the m numerators ``f`` stacks (``f(x)`` is (m,
+    2**17 rule nodes) and the m numerators ``f`` stacks (``f(x)`` is (m,
     *x.shape)): (m, poles).  A cell is bisected while any numerator leaves it
     unresolved; a numerator takes it in the round it would alone, by a product
     over its own cells, so each row is bit for bit its own pass.  A failed
@@ -480,7 +480,7 @@ def principal_value_integral(f: Callable, a: float, b: float, pole, nodes=()):
 
     ``pole`` may be an array, giving an array of the same shape: every pole
     keeps its own cells, tolerance and bisection, but the poles share the
-    rule's cells, on which ``f`` is evaluated once per chunk of about 2**15
+    rule's cells, on which ``f`` is evaluated once per chunk of about 2**17
     nodes.  The error of a failed integral is that of the first pole that
     fails.
     """

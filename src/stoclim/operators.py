@@ -8,11 +8,11 @@ structure:
 * :func:`spectral_decompose` -- eigenlevels and orthogonal projectors, with
   near-degenerate eigenvalues clustered into a single level;
 * :func:`bohr_frequencies` -- the set of level differences, closed under
-  negation and containing 0;
-* :func:`frequency_mask` -- the energy-eigenbasis matrix elements that a
-  frequency component keeps, the one rule every component is formed by,
-  and :func:`frequency_index`, the same rule for every Bohr frequency at
-  once;
+  negation and containing 0, with each level pair under one frequency;
+* :func:`frequency_mask` -- the energy-eigenbasis matrix elements within the
+  matching tolerance of a frequency, and :func:`frequency_index`, which
+  files every element under one Bohr frequency, the one rule every
+  component is formed by;
 * :func:`e_omega` -- the frequency component ``E_w(X)`` of an operator,
   i.e. the part of ``X`` that oscillates as ``exp(-i w t)`` under the free
   Heisenberg evolution.
@@ -155,11 +155,12 @@ def spectral_decompose(
 
     Eigenvalues closer than ``cluster_tol`` (default: 1e-9 times the spectral
     range) are merged into one level whose projector spans the corresponding
-    eigenvectors.  Levels are returned in strictly increasing order.  A
-    non-finite ``cluster_tol`` raises ``ValueError``.
+    eigenvectors; 0 merges exact ties only.  Levels are returned in strictly
+    increasing order.  A negative or non-finite ``cluster_tol`` raises
+    ``ValueError``.
     """
-    if cluster_tol is not None and not math.isfinite(cluster_tol):
-        raise ValueError(f"cluster_tol must be finite, got {cluster_tol}")
+    if cluster_tol is not None and not 0 <= cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be finite and non-negative, got {cluster_tol}")
     h = validate_hermitian(hamiltonian)
     vals, vecs = np.linalg.eigh(h)
     spread = float(vals[-1] - vals[0]) if len(vals) > 1 else 0.0
@@ -190,8 +191,8 @@ class BohrSet:
 
     ``frequencies`` is sorted, contains 0, and is closed under negation.
     ``pairs[k]`` lists the ``(target, source)`` level-index pairs realising
-    ``frequencies[k]``: the component map sends ``X`` to
-    ``sum P[target] X P[source]`` with ``E[source] - E[target] = w``.
+    ``frequencies[k]``, each pair under one frequency: the component map sends
+    ``X`` to ``sum P[target] X P[source]`` over ``pairs[k]``.
     """
 
     frequencies: np.ndarray
@@ -231,13 +232,8 @@ def bohr_frequencies(spec: SpectralData) -> BohrSet:
 
     The sorted differences are clustered as :func:`_cluster_starts` says, and
     each cluster's first value is its frequency ``w_k``; every difference is
-    labelled once, with its cluster.  ``pairs[k]`` holds the pairs whose
-    difference lies within ``match_tol`` of ``w_k``: cluster ``k`` and its
-    lower fringe, the members of cluster ``k - 1`` within ``match_tol`` below
-    ``w_k``.  No other difference reaches ``w_k``, in floating point too:
-    cluster ``k`` lies within ``match_tol`` above ``w_k``, consecutive
-    frequencies are more than ``match_tol`` apart, and rounded subtraction
-    is monotone.  A fringe pair is listed under two frequencies.
+    labelled once, with its cluster, and ``pairs[k]`` is cluster ``k``, so
+    each of the ``n**2`` level pairs is listed once.
     """
     en = spec.energies
     n = len(en)
@@ -246,17 +242,12 @@ def bohr_frequencies(spec: SpectralData) -> BohrSet:
     order = np.argsort(diffs, kind="stable")
     xs = diffs[order]
     starts = _cluster_starts(xs, tol)
-    freqs = xs[starts]
-    # every difference joins its cluster, and the next one's fringe
     label = np.cumsum(np.bincount(starts, minlength=len(xs))) - 1
-    fringe = np.append(freqs[1:], np.inf)[label] - xs <= tol
-    owner = np.concatenate([label, label[fringe] + 1])
-    pos = np.concatenate([order, order[fringe]])
-    src, tgt = np.divmod(pos[np.lexsort((pos, owner))], n)
+    src, tgt = np.divmod(order[np.lexsort((order, label))], n)
     flat = list(zip(tgt.tolist(), src.tolist()))
-    bounds = np.cumsum(np.bincount(owner, minlength=len(freqs))).tolist()
-    pairs = tuple(tuple(flat[a:b]) for a, b in zip([0, *bounds], bounds))
-    return BohrSet(frequencies=freqs, pairs=pairs, match_tol=tol)
+    ends = [*starts[1:].tolist(), len(xs)]
+    pairs = tuple(tuple(flat[a:b]) for a, b in zip(starts.tolist(), ends))
+    return BohrSet(frequencies=xs[starts], pairs=pairs, match_tol=tol)
 
 
 def _gaps(spec: SpectralData) -> np.ndarray:
@@ -296,11 +287,11 @@ def frequency_index(spec: SpectralData, bohr: BohrSet) -> np.ndarray:
     Entry ``[a, b]`` gets the first ``k`` for which
     ``frequency_mask(spec, bohr.frequencies[k])`` keeps it, so the component
     at ``bohr.frequencies[k]`` is the coupling masked by ``== k``.  For the
-    Bohr set of ``spec`` every entry has one: the cluster its level
-    difference is labelled with in :func:`bohr_frequencies`.  The mask of
-    ``k + 1`` keeps the entry too when its level pair lies in the lower
-    fringe of ``k + 1``, and no other mask does; it is filed under ``k``
-    alone.
+    Bohr set of ``spec`` that is the cluster its level difference is
+    labelled with in :func:`bohr_frequencies`, in floating point too: the
+    difference lies within ``match_tol`` above its cluster's first value,
+    consecutive frequencies are more than ``match_tol`` apart, and rounded
+    subtraction is monotone.
     """
     return _first_within(bohr.frequencies, _gaps(spec), spec.match_tol)
 
@@ -315,9 +306,10 @@ def e_omega(
 
     ``E_w(X) = sum_{E - w in spectrum} P[E - w] X P[E]``; rotates as
     ``exp(-i w t)`` under the free evolution.  Formed in the eigenbasis ``V``
-    as ``V ((V^dag X V) * frequency_mask(spec, w)) V^dag``.  Frequencies not
-    in the transition set (within the matching tolerance) give the zero
-    operator.
+    as ``V ((V^dag X V) * (frequency_index(spec, bohr) == k)) V^dag`` for the
+    first Bohr frequency ``w_k`` within the matching tolerance of ``w``, so
+    the components at the Bohr frequencies add up to ``X``.  Frequencies not
+    in the transition set give the zero operator.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (spec.dim, spec.dim):
@@ -328,7 +320,7 @@ def e_omega(
     if k is None:
         return np.zeros_like(x)
     v = spec.basis
-    return v @ ((dag(v) @ x @ v) * frequency_mask(spec, bohr.frequencies[k])) @ dag(v)
+    return v @ ((dag(v) @ x @ v) * (frequency_index(spec, bohr) == k)) @ dag(v)
 
 
 def commutant_membership(x: np.ndarray, spec: SpectralData) -> tuple[bool, float]:

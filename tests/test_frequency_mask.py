@@ -39,6 +39,9 @@ def hamiltonian(kind, rng):
     if kind == "degenerate":
         # a 2x2 block tensored with the identity: two exactly threefold levels
         return np.kron(random_hermitian(rng, 2), np.eye(3))
+    if kind == "fringed":
+        # (2, 1) lies within 1e-9 of the frequencies 1 and 1 + 1.8e-9
+        return np.diag([0.0, 1.0, 2.0 + 0.9e-9, 3.0 + 2.7e-9])
     if kind == "generic":
         levels = np.cumsum(rng.uniform(0.3, 1.0, size=6))
     else:
@@ -49,11 +52,17 @@ def hamiltonian(kind, rng):
 
 
 @pytest.mark.parametrize(
-    "kind, n_levels, seed", [("generic", 6, 0), ("degenerate", 2, 1), ("clustered", 3, 2)]
+    "kind, n_levels, seed, cluster_tol",
+    [
+        ("generic", 6, 0, None),
+        ("degenerate", 2, 1, None),
+        ("clustered", 3, 2, None),
+        ("fringed", 4, 3, 1e-9),
+    ],
 )
-def test_mask_matches_projector_sum(kind, n_levels, seed):
+def test_mask_matches_projector_sum(kind, n_levels, seed, cluster_tol):
     rng = np.random.default_rng(seed)
-    spec = spectral_decompose(hamiltonian(kind, rng))
+    spec = spectral_decompose(hamiltonian(kind, rng), cluster_tol=cluster_tol)
     assert spec.n_levels == n_levels
     bohr = bohr_frequencies(spec)
     couplings = [random_hermitian(rng, spec.dim) for _ in range(2)]

@@ -76,6 +76,12 @@ def test_cluster_tol_override():
     h = np.diag([0.0, 1.0, 1.001]).astype(complex)
     assert spectral_decompose(h).n_levels == 3
     assert spectral_decompose(h, cluster_tol=0.01).n_levels == 2
+    # 0 merges exact ties only; a negative tolerance would split a level
+    tie = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    assert spectral_decompose(tie, cluster_tol=0.0).multiplicity(0) == 2
+    for bad in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="cluster_tol must be finite and non-negative"):
+            spectral_decompose(tie, cluster_tol=bad)
 
 
 def test_dimension_cap():
@@ -255,22 +261,22 @@ def test_spectral_data_validate_rejects_a_non_unitary_basis():
 
 
 def loop_bohr_frequencies(energies, tol):
-    """Reference: the pairwise loop over sorted level differences."""
+    """Reference: the pairwise loop over sorted level differences, each
+    level pair filed under the first frequency within ``tol`` of its
+    difference."""
     n = len(energies)
     diffs = sorted(energies[a] - energies[b] for a in range(n) for b in range(n))
     freqs = []
     for w in diffs:
         if not freqs or (w - freqs[-1]) > tol:
             freqs.append(w)
-    pairs = []
-    for w in freqs:
-        plist = []
-        for src in range(n):
-            for tgt in range(n):
-                if abs((energies[src] - energies[tgt]) - w) <= tol:
-                    plist.append((tgt, src))
-        pairs.append(tuple(plist))
-    return np.asarray(freqs), tuple(pairs)
+    pairs = [[] for _ in freqs]
+    for src in range(n):
+        for tgt in range(n):
+            x = energies[src] - energies[tgt]
+            k = next(k for k, w in enumerate(freqs) if abs(x - w) <= tol)
+            pairs[k].append((tgt, src))
+    return np.asarray(freqs), tuple(tuple(p) for p in pairs)
 
 
 def test_frequency_set_matches_pairwise_loop():
@@ -326,28 +332,45 @@ def test_frequency_set_matches_pairwise_loop_on_a_seeded_scan():
     assert wide >= 5
 
 
+# (2, 1) lies within match_tol of two frequencies, 1 and 1 + 1.8e-9
+FRINGED = (np.array([0.0, 1.0, 2.0 + 0.9e-9, 3.0 + 2.7e-9]), 1e-9)
+
+
+def fringe_count(spec, bohr):
+    """Level differences within ``match_tol`` of two Bohr frequencies."""
+    diffs = np.subtract.outer(spec.energies, spec.energies).ravel()
+    near = np.abs(diffs[:, None] - bohr.frequencies[None, :]) <= spec.match_tol
+    return int(np.count_nonzero(near.sum(axis=1) > 1))
+
+
 def test_frequency_index_files_each_entry_under_a_bohr_pair():
     # the generator gives each eigenbasis entry to the channel frequency_index
-    # names, so that frequency must list the entry's level pair; a pair listed
-    # twice is in cluster k and in the lower fringe of k + 1
-    tol = 1e-9
-    fringed = [(np.array([0.0, 1.0, 2.0 + 0.9 * tol, 3.0 + 2.7 * tol]), tol)]
-    doubles = 0
-    for energies, tol in [*fringed, *scan_ladders(np.random.default_rng(2207), 60)]:
+    # names, so that frequency must list the entry's level pair, and no other
+    # may, also where the pair's difference is within match_tol of two
+    near_two = 0
+    for energies, tol in [FRINGED, *scan_ladders(np.random.default_rng(2207), 60)]:
         spec = spectral_decompose(np.diag(energies).astype(complex), cluster_tol=tol)
         bohr = bohr_frequencies(spec)
-        w, lev = bohr.frequencies, spec.level_of_column
+        lev = spec.level_of_column
         for (a, b), k in np.ndenumerate(frequency_index(spec, bohr)):
             assert k >= 0 and (lev[a], lev[b]) in bohr.pairs[k]
-        listed = {}
-        for k, pairs in enumerate(bohr.pairs):
-            for pair in pairs:
-                listed.setdefault(pair, []).append(k)
-        for (tgt, src), ks in listed.items():
-            x = spec.energies[src] - spec.energies[tgt]
-            assert len(ks) in (1, 2)
-            if len(ks) == 2:
-                doubles += 1
-                assert ks[1] == ks[0] + 1
-                assert w[ks[0]] <= x < w[ks[1]] and w[ks[1]] - x <= spec.match_tol
-    assert doubles >= 2
+        listed = sorted(pair for pairs in bohr.pairs for pair in pairs)
+        n = spec.n_levels
+        assert listed == [(tgt, src) for tgt in range(n) for src in range(n)]
+        near_two += fringe_count(spec, bohr)
+    assert near_two >= 2
+
+
+def test_components_at_the_bohr_frequencies_add_up_to_the_operator():
+    # sum_w E_w(X) = X: each eigenbasis entry lies in exactly one component,
+    # also where its level difference is within match_tol of two frequencies
+    rng = np.random.default_rng(2208)
+    ladders_near_two = 0
+    for energies, tol in [FRINGED, *scan_ladders(np.random.default_rng(2207), 400)]:
+        spec = spectral_decompose(np.diag(energies).astype(complex), cluster_tol=tol)
+        bohr = bohr_frequencies(spec)
+        x = random_matrix(rng, spec.dim)
+        total = sum(e_omega(x, w, spec, bohr) for w in bohr.frequencies)
+        assert np.linalg.norm(total - x) <= 1e-12 * np.linalg.norm(x)
+        ladders_near_two += fringe_count(spec, bohr) > 0
+    assert ladders_near_two >= 100

@@ -18,6 +18,7 @@ from stoclim import (  # noqa: E402
     bohr_frequencies,
     build_generator,
     correlation_table,
+    e_omega,
     genericity_check,
     leibniz_defect,
     offdiag_rate,
@@ -118,6 +119,19 @@ def test_components_lie_in_one_bohr_sector(system):
     for c in range(n_comp):
         in_comp = freq[label == c]
         assert in_comp.max() - in_comp.min() <= bohr.match_tol, c
+
+
+@given(systems())
+def test_components_add_up_to_the_operator(system):
+    # sum_w E_w(X) = X over the Bohr frequencies: each level pair is one
+    # frequency's, so no eigenbasis entry is counted twice or dropped
+    h, couplings, _, _, probes = system
+    spec = spectral_decompose(h)
+    bohr = bohr_frequencies(spec)
+    assert sum(len(p) for p in bohr.pairs) == spec.n_levels**2
+    for x in [*couplings, *probes]:
+        total = sum(e_omega(x, w, spec, bohr) for w in bohr.frequencies)
+        assert np.linalg.norm(total - x) <= 1e-12 * np.linalg.norm(x)
 
 
 @given(systems())
